@@ -121,8 +121,3 @@ def attenuate(A: np.ndarray, durations, cfg: AttenuationConfig) -> np.ndarray:
     np.fill_diagonal(out, 0.0)
     return out
 
-
-def dump_matrix(matrix: np.ndarray, sink) -> None:
-    """Debug dump: one line of space-separated decimal numbers per row."""
-    for row in np.atleast_2d(np.asarray(matrix, dtype=np.float64)):
-        sink.write(" ".join(repr(float(v)) for v in row) + "\n")

@@ -415,9 +415,7 @@ def run_report(
             )
             reports = []
             for s, child in zip(sessions, seeds):
-                with warnings.catch_warnings():
-                    warnings.simplefilter("ignore")
-                    assignment = cluster_session(s, cfg, child)
+                assignment = cluster_session(s, cfg, child)
                 reports.append(
                     cpwer_from_segments(refs_by_session[s.session_id], s, assignment)
                 )

@@ -4,22 +4,15 @@ Pipeline: adjacency -> degree -> normalized Laplacian -> eigenvectors of the
 smallest eigenvalues -> per-segment feature vectors -> hard labels via the
 alternating rotation/argmax procedure ("discretize").
 
-The eigensolver is a cyclic Jacobi iteration: segment counts are at most a
-few thousand, where Jacobi is simple, accurate, and has no failure modes
-beyond its sweep cap.
+The eigendecomposition is one LAPACK call (``numpy.linalg.eigh``).
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
 from .affinity import AttenuationConfig, attenuate, cosine_affinity
 from .corpus import LabelAssignment, SessionHypothesis
-
-JACOBI_MAX_SWEEPS = 100
-JACOBI_TOL = 1e-12
 
 DISCRETIZE_MAX_ITER = 100
 DISCRETIZE_TOL = 1e-10
@@ -50,75 +43,15 @@ def normalized_laplacian(A: np.ndarray) -> np.ndarray:
 
 
 def symmetric_eig(L: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Full eigendecomposition of a symmetric matrix by cyclic Jacobi rotations.
+    """Full eigendecomposition of a symmetric matrix, from LAPACK.
 
-    Returns (eigenvalues ascending, eigenvectors as columns).  Ties are
-    ordered by the original Jacobi column index for determinism.  Converges
-    when the off-diagonal Frobenius norm falls below ``JACOBI_TOL`` times the
-    Frobenius norm of the input; raises ``RuntimeError`` after
-    ``JACOBI_MAX_SWEEPS`` sweeps without convergence.
+    Returns (eigenvalues ascending, eigenvectors as columns), computed by
+    ``numpy.linalg.eigh``, which reads only the lower triangle.
     """
-    A = np.array(L, dtype=np.float64)
+    A = np.asarray(L, dtype=np.float64)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError(f"matrix must be square, got shape {A.shape}")
-    n = A.shape[0]
-    V = np.eye(n)
-    target = JACOBI_TOL * np.linalg.norm(A)
-
-    def off_norm() -> float:
-        # summed directly over the off-diagonal entries; subtracting the
-        # diagonal from the full Frobenius norm cancels catastrophically
-        # near convergence
-        stripped = A.copy()
-        np.fill_diagonal(stripped, 0.0)
-        return float(np.linalg.norm(stripped))
-
-    converged = False
-    for _ in range(JACOBI_MAX_SWEEPS):
-        if off_norm() <= target:
-            converged = True
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = A[p, q]
-                if apq == 0.0:
-                    continue
-                diff = A[q, q] - A[p, p]
-                if abs(apq) < 1e-36 * abs(diff):
-                    # rotation angle below representability
-                    t = apq / diff
-                else:
-                    tau = diff / (2.0 * apq)
-                    if tau >= 0.0:
-                        t = 1.0 / (tau + math.sqrt(1.0 + tau * tau))
-                    else:
-                        t = -1.0 / (-tau + math.sqrt(1.0 + tau * tau))
-                c = 1.0 / math.sqrt(1.0 + t * t)
-                s = t * c
-
-                row_p = A[p, :].copy()
-                row_q = A[q, :].copy()
-                A[p, :] = c * row_p - s * row_q
-                A[q, :] = s * row_p + c * row_q
-                col_p = A[:, p].copy()
-                col_q = A[:, q].copy()
-                A[:, p] = c * col_p - s * col_q
-                A[:, q] = s * col_p + c * col_q
-                A[p, q] = 0.0
-                A[q, p] = 0.0
-
-                vec_p = V[:, p].copy()
-                vec_q = V[:, q].copy()
-                V[:, p] = c * vec_p - s * vec_q
-                V[:, q] = s * vec_p + c * vec_q
-    if not converged and off_norm() > target:
-        raise RuntimeError(
-            f"Jacobi eigensolver did not converge in {JACOBI_MAX_SWEEPS} sweeps"
-        )
-
-    eigenvalues = np.diag(A).copy()
-    order = np.argsort(eigenvalues, kind="stable")
-    return eigenvalues[order], V[:, order]
+    return np.linalg.eigh(A)
 
 
 def spectral_features(eigenvectors: np.ndarray, num_features: int) -> np.ndarray:
@@ -192,12 +125,6 @@ def discretize(features: np.ndarray, num_clusters: int, seed) -> np.ndarray:
         last_objective = objective
         rotation = Vt.T @ U.T
     return labels.astype(np.int64)
-
-
-def dump_eigenvalues(eigenvalues: np.ndarray, sink) -> None:
-    """Debug dump: one decimal eigenvalue per line."""
-    for value in np.asarray(eigenvalues, dtype=np.float64):
-        sink.write(repr(float(value)) + "\n")
 
 
 def spectral_cluster(

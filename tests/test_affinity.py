@@ -168,16 +168,3 @@ def test_duration_length_mismatch():
     A = cosine_affinity(np.eye(3))
     with pytest.raises(ValueError, match="durations"):
         attenuate(A, [1.0, 2.0], STEP(0.5))
-
-
-def test_dump_matrix_round_trips():
-    import io
-
-    from slrkit.affinity import dump_matrix
-
-    rng = np.random.default_rng(7)
-    A = cosine_affinity(rng.standard_normal((5, 3)))
-    buf = io.StringIO()
-    dump_matrix(A, buf)
-    rows = [[float(v) for v in line.split()] for line in buf.getvalue().splitlines()]
-    np.testing.assert_array_equal(np.array(rows), A)

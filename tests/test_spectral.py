@@ -1,10 +1,11 @@
-"""Laplacian construction, Jacobi eigendecomposition, and discretize clustering."""
+"""Laplacian construction, LAPACK eigendecomposition, and discretize clustering."""
 
 import numpy as np
 import pytest
 
 from slrkit.affinity import AttenuationConfig
 from slrkit.corpus import Segment, SessionHypothesis
+from slrkit.pipeline import DurationBucket, SynthSpec, generate_session
 from slrkit.spectral import (
     degree,
     discretize,
@@ -331,20 +332,6 @@ def test_spectral_cluster_deterministic():
     assert first.labels == second.labels
 
 
-def test_dump_eigenvalues_round_trips():
-    import io
-
-    from slrkit.spectral import dump_eigenvalues
-
-    rng = np.random.default_rng(14)
-    M = rng.standard_normal((6, 6))
-    w, _ = symmetric_eig(0.5 * (M + M.T))
-    buf = io.StringIO()
-    dump_eigenvalues(w, buf)
-    parsed = [float(line) for line in buf.getvalue().splitlines()]
-    np.testing.assert_array_equal(np.array(parsed), w)
-
-
 def test_spectral_cluster_permutation_invariant_partition():
     rng = np.random.default_rng(12)
     centers = np.eye(3)
@@ -360,3 +347,14 @@ def test_spectral_cluster_permutation_invariant_partition():
     unpermuted = np.empty(12, dtype=int)
     unpermuted[perm] = permuted.labels
     assert as_partition(base.labels) == as_partition(unpermuted)
+
+
+def test_spectral_cluster_recovers_meeting_scale_session():
+    spec = SynthSpec(
+        num_speakers=8,
+        dim=32,
+        buckets=(DurationBucket(1000, 2.0, 10.0, 0.1),),
+    )
+    session, _, truth = generate_session(spec, 3)
+    assignment = spectral_cluster(session, AttenuationConfig(), seed=0)
+    assert as_partition(assignment.labels) == as_partition(truth.labels)
