@@ -170,17 +170,19 @@ def _cmd_reassign(args) -> int:
 
 
 def _cmd_cpwer(args) -> int:
-    refs = _load_reference_map(args.reference)
+    references = corpus.parse_reference(args.reference)
     sessions = corpus.parse_segments(args.hyp)
+    if not sessions:
+        raise ValueError("no sessions in hypothesis input")
+    refs = pipeline.references_by_session(sessions, references)
     reports = []
     for session in sessions:
-        reference = _require_reference(refs, session.session_id)
-        report = metrics.cpwer(reference, pipeline.initial_speaker_streams(session))
+        report = metrics.cpwer(
+            refs[session.session_id], pipeline.initial_speaker_streams(session)
+        )
         reports.append(report)
         if args.per_session:
             print(_score_line(session.session_id, report))
-    if not reports:
-        raise ValueError("no sessions in hypothesis input")
     summary = {
         "session_id": "ALL",
         "pooled_cpwer": pipeline.pooled_cpwer(reports),

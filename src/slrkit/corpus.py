@@ -265,14 +265,15 @@ def parse_segments(
     ``num_speakers`` overrides it globally (int) or per session (mapping).
 
     Raises ``ValueError`` with the offending line number for malformed
-    records, inconsistent embedding dimensions, zero-norm embeddings, and
-    non-positive durations.
+    records, segment ids repeated within a session, inconsistent embedding
+    dimensions, zero-norm embeddings, and non-positive durations.
     """
     if sidecar_dir is None and isinstance(stream, (str, Path)):
         sidecar_dir = Path(stream).parent
     sidecars = _SidecarCache(Path(sidecar_dir) if sidecar_dir is not None else Path("."))
 
     by_session: dict[str, list[Segment]] = {}
+    seen: dict[tuple[str, str], int] = {}
     for lineno, record in _iter_json_lines(stream):
         missing = [k for k in _SEGMENT_KEYS if k not in record]
         if missing:
@@ -295,6 +296,12 @@ def parse_segments(
             )
         except (TypeError, ValueError) as exc:
             raise ValueError(f"line {lineno}: {exc}") from exc
+        first = seen.setdefault((segment.session_id, segment.segment_id), lineno)
+        if first != lineno:
+            raise ValueError(
+                f"line {lineno}: duplicate segment_id {segment.segment_id!r} in "
+                f"session {segment.session_id!r} (first on line {first})"
+            )
         by_session.setdefault(segment.session_id, []).append(segment)
 
     sessions = []

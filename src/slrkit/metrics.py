@@ -1,5 +1,12 @@
 """Word-level edit distance and the concatenated minimum-permutation WER (cpWER).
 
+Every word alignment in the package, here and in the oracle, runs on one
+kernel: Myers' bit-parallel Levenshtein recurrence in Hyyrö's formulation
+(Myers 1999; Hyyrö 2001), with the DP column held in two Python ints.
+``edit_distance`` keeps the per-column deltas of one forward pass and walks
+back through them to split the errors into substitutions, deletions and
+insertions.
+
 For cpWER, the words of each speaker are concatenated on both sides, the
 smaller side is padded with empty dummy speakers, and the speaker pairing
 that minimizes the total word errors is found with the Hungarian algorithm.
@@ -10,7 +17,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
@@ -58,46 +65,91 @@ class CpWerReport:
     mapping: dict[str, str | None]
 
 
-def _advance_row(row: np.ndarray, ref_ids: np.ndarray, word_id: int) -> np.ndarray:
-    """One row step of the Levenshtein DP: append ``word_id`` to the hypothesis.
+class _Column(NamedTuple):
+    """One column of the Levenshtein DP in the bit-parallel encoding.
 
-    ``row[k]`` is the distance between ref[:k] and the hypothesis so far.
-    The deletion recurrence is resolved with a running minimum so the whole
-    step is vectorized.
+    Bit ``i`` of ``pv`` (``mv``) is set when the column's value at pattern
+    row ``i + 1`` is one more (one less) than at row ``i``.  ``score`` is the
+    value at the last row; ``low`` is the smallest last-row value over the
+    columns consumed by the call that produced this one, its start included.
     """
-    base = np.empty_like(row)
-    base[0] = row[0] + 1
-    np.minimum(row[1:] + 1, row[:-1] + (ref_ids != word_id), out=base[1:])
-    steps = np.arange(row.shape[0])
-    return steps + np.minimum.accumulate(base - steps)
+
+    pv: int
+    mv: int
+    score: int
+    low: int
 
 
-def _distance_ids(ref_ids: np.ndarray, hyp_ids: np.ndarray) -> int:
-    """Levenshtein distance between two integer token sequences."""
-    if ref_ids.size == 0:
-        return int(hyp_ids.size)
-    if hyp_ids.size == 0:
-        return int(ref_ids.size)
-    row = np.arange(ref_ids.size + 1)
-    for word_id in hyp_ids:
-        row = _advance_row(row, ref_ids, word_id)
-    return int(row[-1])
+def _match_masks(pattern: Sequence[str]) -> dict[str, int]:
+    """Bit ``i`` of ``masks[token]`` is set where ``pattern[i] == token``."""
+    masks: dict[str, int] = {}
+    for i, token in enumerate(pattern):
+        masks[token] = masks.get(token, 0) | (1 << i)
+    return masks
 
 
-def _to_ids(streams: Sequence[Sequence[str]]) -> list[np.ndarray]:
-    vocab: dict[str, int] = {}
-    out = []
-    for stream in streams:
-        out.append(
-            np.array([vocab.setdefault(t, len(vocab)) for t in stream], dtype=np.int64)
-        )
-    return out
+def _advance(
+    masks: Mapping[str, int],
+    m: int,
+    words: Iterable[str],
+    start: _Column | None = None,
+    *,
+    free_start: bool = False,
+    columns: list[tuple[int, int, int, int]] | None = None,
+) -> _Column:
+    """Consume ``words`` as text against a length-``m`` pattern (Myers 1999; Hyyrö 2001).
+
+    The whole DP column is held in two Python ints, so one word costs a
+    constant number of big-int operations.  ``start`` defaults to the empty
+    text (row ``i`` holds ``i``).  Row 0 grows by one per consumed word,
+    unless ``free_start`` makes it stay 0, which lets the pattern match
+    anywhere in the text; the minimum over end positions is then ``low``.
+    ``columns``, when given, receives ``(pv, mv, ph, mh)`` per word, where bit
+    ``i`` of ``ph`` (``mh``) marks a +1 (-1) step from the previous column at
+    row ``i``.
+    """
+    full = (1 << m) - 1
+    if start is None:
+        pv, mv, score = full, 0, m
+    else:
+        pv, mv, score = start.pv, start.mv, start.score
+    low = score
+    last_row = 1 << m
+    carry = 0 if free_start else 1
+    get = masks.get
+    for word in words:
+        eq = get(word, 0)
+        xv = eq | mv
+        xh = (((eq & pv) + pv) ^ pv) | eq
+        # masked only to stay non-negative: big-int ops on negatives are slower
+        ph = ((mv | (full & ~(xh | pv))) << 1) | carry
+        mh = (pv & xh) << 1
+        if ph & last_row:
+            score += 1
+        elif mh & last_row:
+            score -= 1
+            if score < low:
+                low = score
+        pv = (mh | ~(xv | ph)) & full
+        mv = ph & xv
+        if columns is not None:
+            columns.append((pv, mv, ph, mh))
+    return _Column(pv, mv, score, low)
+
+
+def _column_min(column: _Column, m: int, top: int) -> int:
+    """Smallest value of a DP column whose row 0 holds ``top``."""
+    value = low = top
+    for i in range(m):
+        value += ((column.pv >> i) & 1) - ((column.mv >> i) & 1)
+        if value < low:
+            low = value
+    return low
 
 
 def token_distance(ref: Sequence[str], hyp: Sequence[str]) -> int:
     """Total minimal edit distance (unit costs) between two token sequences."""
-    ref_ids, hyp_ids = _to_ids([tuple(ref), tuple(hyp)])
-    return _distance_ids(ref_ids, hyp_ids)
+    return _advance(_match_masks(ref), len(ref), hyp).score
 
 
 def edit_distance(ref: Sequence[str], hyp: Sequence[str]) -> EditCounts:
@@ -106,7 +158,9 @@ def edit_distance(ref: Sequence[str], hyp: Sequence[str]) -> EditCounts:
     Unit costs for substitution, deletion, and insertion.  When several
     minimal alignments exist the backtrace prefers substitution over
     insertion over deletion; this only affects the count decomposition,
-    never the total.
+    never the total.  One forward pass of the bit-parallel kernel keeps each
+    column's deltas, and the backtrace reads the DP values it needs from
+    them, so it takes O(m + n) steps.
 
     >>> edit_distance("a b c".split(), "a x c".split())
     EditCounts(substitutions=1, deletions=0, insertions=0, ref_len=3)
@@ -114,38 +168,35 @@ def edit_distance(ref: Sequence[str], hyp: Sequence[str]) -> EditCounts:
     ref = tuple(ref)
     hyp = tuple(hyp)
     m, n = len(ref), len(hyp)
-    dp = np.zeros((m + 1, n + 1), dtype=np.int64)
-    dp[:, 0] = np.arange(m + 1)
-    dp[0, :] = np.arange(n + 1)
-    for i in range(1, m + 1):
-        prev = dp[i - 1]
-        cur = dp[i]
-        ref_word = ref[i - 1]
-        for j in range(1, n + 1):
-            best = prev[j - 1] + (ref_word != hyp[j - 1])
-            up = prev[j] + 1
-            if up < best:
-                best = up
-            left = cur[j - 1] + 1
-            if left < best:
-                best = left
-            cur[j] = best
+    columns = [((1 << m) - 1, 0, 0, 0)]
+    here = _advance(_match_masks(ref), m, hyp, columns=columns).score
 
+    # ``here`` is D[i][j]; ``left`` and ``diag`` are D[i][j-1] and D[i-1][j-1],
+    # read from the horizontal deltas of column j and the vertical ones of j-1
     subs = dels = ins = 0
     i, j = m, n
     while i > 0 or j > 0:
-        here = dp[i, j]
-        if i > 0 and j > 0 and dp[i - 1, j - 1] + (ref[i - 1] != hyp[j - 1]) == here:
-            if ref[i - 1] != hyp[j - 1]:
-                subs += 1
-            i -= 1
-            j -= 1
-        elif j > 0 and dp[i, j - 1] + 1 == here:
-            ins += 1
-            j -= 1
-        else:
-            dels += 1
-            i -= 1
+        if j > 0:
+            _, _, ph, mh = columns[j]
+            left = here - ((ph >> i) & 1) + ((mh >> i) & 1)
+            if i > 0:
+                pv, mv, _, _ = columns[j - 1]
+                diag = left - ((pv >> (i - 1)) & 1) + ((mv >> (i - 1)) & 1)
+                mismatch = ref[i - 1] != hyp[j - 1]
+                if diag + mismatch == here:
+                    subs += mismatch
+                    here = diag
+                    i -= 1
+                    j -= 1
+                    continue
+            if left + 1 == here:
+                ins += 1
+                here = left
+                j -= 1
+                continue
+        dels += 1
+        here -= 1
+        i -= 1
     return EditCounts(substitutions=subs, deletions=dels, insertions=ins, ref_len=m)
 
 
@@ -169,12 +220,11 @@ def _padded_cost_matrix(
     hyp_labels: list[str | None] = list(hyp_map) + [None] * (size - len(hyp_map))
     ref_streams = [ref_map.get(l, ()) if l is not None else () for l in ref_labels]
     hyp_streams = [hyp_map.get(l, ()) if l is not None else () for l in hyp_labels]
-    id_streams = _to_ids(ref_streams + hyp_streams)
-    ref_ids, hyp_ids = id_streams[:size], id_streams[size:]
     cost = np.zeros((size, size), dtype=np.int64)
-    for i in range(size):
-        for j in range(size):
-            cost[i, j] = _distance_ids(ref_ids[i], hyp_ids[j])
+    for i, ref in enumerate(ref_streams):
+        masks = _match_masks(ref)
+        for j, hyp in enumerate(hyp_streams):
+            cost[i, j] = _advance(masks, len(ref), hyp).score
     return ref_labels, hyp_labels, ref_streams, hyp_streams, cost
 
 

@@ -4,10 +4,16 @@ The oracle labels each segment with the reference speaker that minimizes the
 session cpWER; it lower-bounds what any reassignment method can reach.
 Exact mode enumerates every assignment (with branch-and-bound pruning that
 never changes the result); greedy mode scales to long sessions via local
-alignment initialization plus coordinate descent.
+alignment initialization plus coordinate descent.  Both score alignments with
+the bit-parallel Levenshtein kernel of :mod:`slrkit.metrics`: the greedy
+columns as plain distances, the initialization with its free-start flag, and
+the exact search by extending one kernel column per speaker and segment.
 """
 
 from __future__ import annotations
+
+import itertools
+from typing import Sequence
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
@@ -15,9 +21,9 @@ from scipy.optimize import linear_sum_assignment
 from .corpus import LabelAssignment, ReferenceTranscript, SessionHypothesis
 from .metrics import (
     CpWerReport,
-    _advance_row,
-    _distance_ids,
-    _to_ids,
+    _advance,
+    _column_min,
+    _match_masks,
     cpwer_from_segments,
     segment_order,
 )
@@ -30,37 +36,30 @@ def exact_fits_budget(num_ref_speakers: int, num_segments: int) -> bool:
     return num_ref_speakers**num_segments <= EXACT_SEARCH_BUDGET
 
 
-def _free_end_gap_cost(pattern_ids: np.ndarray, text_ids: np.ndarray) -> int:
+def _free_end_gap_cost(pattern: Sequence[str], text: Sequence[str]) -> int:
     """Edit cost of the pattern against its best-matching window of the text.
 
     Unconsumed text before and after the window is free, approximating the
     cost of the best contiguous match.
     """
-    if pattern_ids.size == 0:
-        return 0
-    if text_ids.size == 0:
-        return int(pattern_ids.size)
-    row = np.zeros(text_ids.size + 1, dtype=np.int64)
-    for word_id in pattern_ids:
-        row = _advance_row(row, text_ids, word_id)
-    return int(row.min())
+    return _advance(_match_masks(pattern), len(pattern), text, free_start=True).low
 
 
 def _exact_search(
-    seg_ids: list[np.ndarray], ref_ids: list[np.ndarray]
+    segments: list[tuple[str, ...]], refs: list[tuple[str, ...]]
 ) -> tuple[int, list[int]]:
     """Minimum total edit cost over all segment-to-speaker assignments.
 
     Segments are consumed in stream order so each partial assignment extends
-    per-speaker DP rows in place.  Pruning uses the row minima, a valid
-    lower bound on any completion, and preserves the lexicographically
-    smallest minimizing assignment.
+    the per-speaker kernel columns in place.  Pruning uses the column minima,
+    a valid lower bound on any completion, and preserves the
+    lexicographically smallest minimizing assignment.
     """
-    k = len(ref_ids)
-    num_segments = len(seg_ids)
-    rows: list[np.ndarray] = [
-        np.arange(r.size + 1, dtype=np.int64) for r in ref_ids
-    ]
+    k = len(refs)
+    num_segments = len(segments)
+    masks = [_match_masks(ref) for ref in refs]
+    columns = [_advance(masks[r], len(refs[r]), ()) for r in range(k)]
+    consumed = [0] * k
     mins = [0] * k
     labels = [0] * num_segments
     best_cost: int | None = None
@@ -71,23 +70,20 @@ def _exact_search(
         if best_cost is not None and sum(mins) >= best_cost:
             return
         if depth == num_segments:
-            cost = sum(int(r[-1]) for r in rows)
+            cost = sum(column.score for column in columns)
             if best_cost is None or cost < best_cost:
                 best_cost = cost
                 best_labels = labels.copy()
             return
-        words = seg_ids[depth]
+        words = segments[depth]
         for r in range(k):
-            saved_row, saved_min = rows[r], mins[r]
-            new_row = saved_row
-            for word_id in words:
-                new_row = _advance_row(new_row, ref_ids[r], word_id)
-            rows[r] = new_row
-            mins[r] = int(new_row.min())
+            saved = columns[r], consumed[r], mins[r]
+            columns[r] = _advance(masks[r], len(refs[r]), words, columns[r])
+            consumed[r] += len(words)
+            mins[r] = _column_min(columns[r], len(refs[r]), consumed[r])
             labels[depth] = r
             search(depth + 1)
-            rows[r] = saved_row
-            mins[r] = saved_min
+            columns[r], consumed[r], mins[r] = saved
 
     search(0)
     assert best_cost is not None and best_labels is not None
@@ -95,7 +91,7 @@ def _exact_search(
 
 
 def _greedy_search(
-    seg_ids: list[np.ndarray], ref_ids: list[np.ndarray]
+    segments: list[tuple[str, ...]], refs: list[tuple[str, ...]]
 ) -> tuple[int, list[int]]:
     """Free-end-gap initialization followed by best-move coordinate descent.
 
@@ -104,24 +100,23 @@ def _greedy_search(
     ties); terminates when no move helps, which is guaranteed because the
     error count strictly decreases.
     """
-    k = len(ref_ids)
-    num_segments = len(seg_ids)
+    k = len(refs)
+    num_segments = len(segments)
     labels = [
-        int(np.argmin([_free_end_gap_cost(words, ref_ids[r]) for r in range(k)]))
-        for words in seg_ids
+        int(np.argmin([_free_end_gap_cost(words, ref) for ref in refs]))
+        for words in segments
     ]
 
-    empty = np.empty(0, dtype=np.int64)
+    masks = [_match_masks(ref) for ref in refs]
     column_cache: dict[tuple[int, ...], np.ndarray] = {}
 
     def column(members: tuple[int, ...]) -> np.ndarray:
         cached = column_cache.get(members)
         if cached is None:
-            stream = (
-                np.concatenate([seg_ids[i] for i in members]) if members else empty
-            )
+            stream = tuple(itertools.chain.from_iterable(segments[i] for i in members))
             cached = np.array(
-                [_distance_ids(ref_ids[r], stream) for r in range(k)], dtype=np.int64
+                [_advance(masks[r], len(refs[r]), stream).score for r in range(k)],
+                dtype=np.int64,
             )
             column_cache[members] = cached
         return cached
@@ -186,21 +181,18 @@ def oracle_assignment(
         raise ValueError("reference has no speakers")
 
     order = segment_order(session)
-    streams = [reference.per_speaker[l] for l in ref_labels] + [
-        session.segments[i].words for i in order
-    ]
-    ids = _to_ids(streams)
-    ref_ids, seg_ids = ids[:k], ids[k:]
+    refs = [tuple(reference.per_speaker[l]) for l in ref_labels]
+    segments = [tuple(session.segments[i].words) for i in order]
 
     if mode == "exact":
-        if not exact_fits_budget(k, len(seg_ids)):
+        if not exact_fits_budget(k, len(segments)):
             raise ValueError(
-                f"exact oracle over budget: {k}^{len(seg_ids)} > "
+                f"exact oracle over budget: {k}^{len(segments)} > "
                 f"{EXACT_SEARCH_BUDGET}; use greedy mode"
             )
-        cost, ordered_labels = _exact_search(seg_ids, ref_ids)
+        cost, ordered_labels = _exact_search(segments, refs)
     else:
-        cost, ordered_labels = _greedy_search(seg_ids, ref_ids)
+        cost, ordered_labels = _greedy_search(segments, refs)
 
     labels = [0] * len(session.segments)
     for position, segment_index in enumerate(order):

@@ -317,6 +317,26 @@ def generate_session(
     return session, reference, truth
 
 
+def references_by_session(
+    sessions: list[SessionHypothesis], references: list[ReferenceTranscript]
+) -> dict[str, ReferenceTranscript]:
+    """Reference transcripts keyed by session id, for scoring ``sessions`` as a set.
+
+    Both sides must hold the same sessions: a hypothesis session without a
+    reference cannot be scored, and a reference session without a hypothesis
+    would drop its words from pooled cpWER.
+    """
+    refs_by_session = {ref.session_id: ref for ref in references}
+    missing = [s.session_id for s in sessions if s.session_id not in refs_by_session]
+    if missing:
+        raise ValueError(f"no reference for sessions {missing}")
+    hypothesized = {s.session_id for s in sessions}
+    unscored = [sid for sid in refs_by_session if sid not in hypothesized]
+    if unscored:
+        raise ValueError(f"reference sessions {unscored} have no hypothesis session")
+    return refs_by_session
+
+
 def pooled_cpwer(reports: list[CpWerReport]) -> float:
     """Corpus-level rate: summed errors over summed reference words."""
     errors = sum(r.errors for r in reports)
@@ -379,10 +399,7 @@ def run_report(
     macro-averaged cpWER plus relative confusion errors against the shared
     oracle.  Rows are deterministic for fixed inputs and seed.
     """
-    refs_by_session = {ref.session_id: ref for ref in references}
-    missing = [s.session_id for s in sessions if s.session_id not in refs_by_session]
-    if missing:
-        raise ValueError(f"no reference for sessions {missing}")
+    refs_by_session = references_by_session(sessions, references)
     seeds = [session_seed(seed, i) for i in range(len(sessions))]
 
     none_reports = [

@@ -71,6 +71,31 @@ def test_cpwer_command(synth_corpus, capsys):
         assert set(line) == {"session_id", "cpwer", "errors", "ref_words", "mapping"}
 
 
+def test_cpwer_command_rejects_reference_session_without_hypothesis(
+    synth_corpus, capsys
+):
+    # dropping synth1 from the hypothesis must not drop its words from pooled cpWER
+    segments = (synth_corpus / "demo.segments.jsonl").read_text().splitlines()
+    hyp = synth_corpus / "synth0_only.jsonl"
+    hyp.write_text(
+        "".join(l + "\n" for l in segments if json.loads(l)["session_id"] == "synth0"),
+        encoding="utf-8",
+    )
+    rc = cli.main(
+        [
+            "cpwer",
+            "--reference",
+            str(synth_corpus / "demo.reference.jsonl"),
+            "--hyp",
+            str(hyp),
+        ]
+    )
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "reference sessions ['synth1'] have no hypothesis session" in captured.err
+
+
 def test_reassign_command_improves_and_roundtrips(synth_corpus):
     out = synth_corpus / "out.jsonl"
     report_path = synth_corpus / "report.jsonl"

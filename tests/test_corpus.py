@@ -46,6 +46,19 @@ def test_num_speakers_from_distinct_labels():
     assert sessions[0].num_speakers == 2
 
 
+def test_duplicate_segment_id_rejected_with_line_and_session():
+    records = lines(
+        seg_record(segment_id="a"),
+        seg_record(segment_id="b", start=3.0, end=4.0),
+        seg_record(segment_id="a", start=5.0, end=6.0),
+    )
+    with pytest.raises(ValueError, match="line 3: duplicate segment_id 'a' in session 's1'"):
+        corpus.parse_segments(records)
+    # the same id in another session is a different segment
+    other = lines(seg_record(segment_id="a"), seg_record(session_id="s2", segment_id="a"))
+    assert [len(s.segments) for s in corpus.parse_segments(other)] == [1, 1]
+
+
 def test_num_speakers_override():
     records = lines(
         seg_record(segment_id="a", speaker="x"),

@@ -1,7 +1,14 @@
-"""Edit distance, cpWER, and the Hungarian-vs-brute-force equivalence."""
+"""Edit distance, cpWER, and the Hungarian-vs-brute-force equivalence.
+
+The bit-parallel alignment kernel is checked against a plain O(mn) dynamic
+program kept here, outside the package, so that ``brute_force_cpwer`` and the
+exact oracle, which share the kernel, are not the only check on it.
+"""
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from slrkit.corpus import LabelAssignment, ReferenceTranscript, Segment, SessionHypothesis
 from slrkit.metrics import (
@@ -11,10 +18,107 @@ from slrkit.metrics import (
     edit_distance,
     token_distance,
 )
+from slrkit.oracle import _free_end_gap_cost
 
 
 def toks(text):
     return tuple(text.split())
+
+
+def reference_table(ref, hyp, free_start=False):
+    """Full Levenshtein table; row i is ref[:i], column j is hyp[:j].
+
+    With ``free_start`` row 0 stays 0, so ``ref`` may start anywhere in ``hyp``.
+    """
+    m, n = len(ref), len(hyp)
+    dp = [[0] * (n + 1) for _ in range(m + 1)]
+    for i in range(m + 1):
+        dp[i][0] = i
+    if not free_start:
+        dp[0] = list(range(n + 1))
+    for i in range(1, m + 1):
+        prev, cur, ref_word = dp[i - 1], dp[i], ref[i - 1]
+        for j in range(1, n + 1):
+            cur[j] = min(
+                prev[j - 1] + (ref_word != hyp[j - 1]), prev[j] + 1, cur[j - 1] + 1
+            )
+    return dp
+
+
+def reference_counts(ref, hyp):
+    """(S, D, I) by backtrace, preferring substitution, then insertion, then deletion."""
+    dp = reference_table(ref, hyp)
+    subs = dels = ins = 0
+    i, j = len(ref), len(hyp)
+    while i > 0 or j > 0:
+        here = dp[i][j]
+        if i > 0 and j > 0 and dp[i - 1][j - 1] + (ref[i - 1] != hyp[j - 1]) == here:
+            subs += ref[i - 1] != hyp[j - 1]
+            i -= 1
+            j -= 1
+        elif j > 0 and dp[i][j - 1] + 1 == here:
+            ins += 1
+            j -= 1
+        else:
+            dels += 1
+            i -= 1
+    return subs, dels, ins
+
+
+def random_pairs(seed, count, max_len, vocab_sizes=(1, 2, 3, 4, 5)):
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        vocab = [f"w{i}" for i in range(int(rng.choice(vocab_sizes)))]
+        ref = tuple(rng.choice(vocab, size=int(rng.integers(0, max_len + 1))))
+        hyp = tuple(rng.choice(vocab, size=int(rng.integers(0, max_len + 1))))
+        yield ref, hyp
+
+
+def assert_kernel_matches_reference(ref, hyp):
+    dp = reference_table(ref, hyp)
+    assert token_distance(ref, hyp) == dp[-1][-1], (ref, hyp)
+    counts = edit_distance(ref, hyp)
+    assert counts.total == dp[-1][-1]
+    sdi = (counts.substitutions, counts.deletions, counts.insertions)
+    assert sdi == reference_counts(ref, hyp), (ref, hyp)
+    assert _free_end_gap_cost(ref, hyp) == min(
+        reference_table(ref, hyp, free_start=True)[-1]
+    ), (ref, hyp)
+
+
+def test_kernel_matches_reference_short_pairs():
+    # small vocabularies give many tied alignments; empty sides included
+    for ref, hyp in random_pairs(10, 1500, 40):
+        assert_kernel_matches_reference(ref, hyp)
+    for ref in ((), ("a",), ("a", "b", "a")):
+        for hyp in ((), ("a",), ("b", "b")):
+            assert_kernel_matches_reference(ref, hyp)
+
+
+def test_kernel_matches_reference_multiword_pairs():
+    # longer than one 64-bit word, so the column spans several machine words
+    for ref, hyp in random_pairs(11, 60, 200):
+        assert_kernel_matches_reference(ref, hyp)
+    for ref, hyp in random_pairs(12, 20, 200, vocab_sizes=(300,)):
+        assert_kernel_matches_reference(ref, hyp)
+
+
+def test_kernel_matches_reference_meeting_length_pairs():
+    rng = np.random.default_rng(13)
+    for vocab_size in (2, 300):
+        vocab = [f"w{i}" for i in range(vocab_size)]
+        ref = tuple(rng.choice(vocab, size=1000))
+        hyp = list(ref)
+        for _ in range(150):  # a corrupted copy, as a recognizer's output would be
+            op = int(rng.integers(3))
+            pos = int(rng.integers(len(hyp)))
+            if op == 0:
+                hyp[pos] = str(rng.choice(vocab))
+            elif op == 1:
+                del hyp[pos]
+            else:
+                hyp.insert(pos, str(rng.choice(vocab)))
+        assert_kernel_matches_reference(ref, tuple(hyp))
 
 
 def test_edit_distance_equal_sequences():
@@ -169,6 +273,35 @@ def test_hungarian_equals_brute_force_random():
         slow = brute_force_cpwer(ref, hyp)
         assert fast.errors == slow.errors
         assert fast.cpwer == slow.cpwer
+
+
+speaker_streams = st.dictionaries(
+    keys=st.text(alphabet="pqrs", min_size=1, max_size=2),
+    values=st.lists(st.sampled_from("abcd"), max_size=8).map(tuple),
+    min_size=1,
+    max_size=5,
+)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(ref=speaker_streams, hyp=speaker_streams, data=st.data())
+def test_cpwer_invariant_under_hypothesis_relabeling(ref, hyp, data):
+    assume(any(ref.values()))
+    names = data.draw(st.permutations([f"z{i}" for i in range(len(hyp))]))
+    relabeled = dict(zip(names, hyp.values()))
+    base = cpwer(ref, hyp)
+    again = cpwer(ref, relabeled)
+    assert (again.errors, again.cpwer) == (base.errors, base.cpwer)
+    assert sorted(map(str, again.mapping.values())) == sorted(
+        map(str, base.mapping.values())
+    )
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(ref=speaker_streams, hyp=speaker_streams)
+def test_hungarian_equals_brute_force_property(ref, hyp):
+    assume(any(ref.values()))
+    assert cpwer(ref, hyp).errors == brute_force_cpwer(ref, hyp).errors
 
 
 def test_brute_force_rejects_large_matrices():

@@ -1,5 +1,7 @@
 """Oracle assignment (exact and greedy) and the relative confusion-error measure."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -10,7 +12,7 @@ from slrkit.oracle import (
     oracle_assignment,
     relative_confusion_error,
 )
-from slrkit.pipeline import DurationBucket, SynthSpec, generate_session
+from slrkit.pipeline import DurationBucket, SynthSpec, generate_session, session_seed
 
 
 def make_session(segment_words, speakers=None):
@@ -185,7 +187,7 @@ def test_relative_confusion_error_zero_denominator():
 def test_free_end_gap_cost_matches_window_enumeration():
     # free-end-gap alignment equals the best full alignment against any
     # contiguous window of the text
-    from slrkit.metrics import _to_ids, edit_distance
+    from slrkit.metrics import edit_distance
     from slrkit.oracle import _free_end_gap_cost
 
     rng = np.random.default_rng(3)
@@ -193,8 +195,7 @@ def test_free_end_gap_cost_matches_window_enumeration():
     for _ in range(80):
         pattern = tuple(rng.choice(vocab, size=int(rng.integers(0, 6))))
         text = tuple(rng.choice(vocab, size=int(rng.integers(0, 10))))
-        pattern_ids, text_ids = _to_ids([pattern, text])
-        fast = _free_end_gap_cost(pattern_ids, text_ids)
+        fast = _free_end_gap_cost(pattern, text)
         windows = [
             edit_distance(pattern, text[i:j]).total
             for i in range(len(text) + 1)
@@ -230,3 +231,29 @@ def test_exact_search_matches_plain_enumeration():
             )
             best = total if best is None else min(best, total)
         assert report.errors == best
+
+
+def test_greedy_oracle_meeting_scale_regression():
+    # 40 segments of 90-110 words over 4 speakers sharing a 300-word
+    # vocabulary: about 1000 words per reference speaker.  The pinned error
+    # count and label digest come from the numpy row recurrence the search
+    # used before the bit-parallel kernel, an independent implementation.
+    spec = SynthSpec(
+        num_speakers=4,
+        dim=192,
+        buckets=(
+            DurationBucket(16, 8.0, 15.0, 0.3),
+            DurationBucket(24, 0.5, 1.9, 1.0),
+        ),
+        words_per_segment=(90, 110),
+        corruption=0.1,
+        confusion=0.3,
+        noise_correlation=0.9,
+        shared_vocabulary=True,
+        vocab_size=300,
+    )
+    session, ref, _ = generate_session(spec, session_seed(1, 0), session_id="evaluate0")
+    assignment, report = oracle_assignment(session, ref, "greedy")
+    assert report.errors == 415
+    digest = hashlib.sha256(",".join(map(str, assignment.labels)).encode()).hexdigest()
+    assert digest == "30d7af51410b26340090c51f3a22b6d236d62876e0fe18de2d88f59a6402e940"

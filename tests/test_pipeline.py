@@ -303,6 +303,19 @@ def test_run_report_requires_references():
         run_report([session], [], (), (), seed=0)
 
 
+def test_run_report_rejects_reference_without_hypothesis():
+    spec = SynthSpec(
+        num_speakers=2,
+        dim=6,
+        min_angle_deg=60.0,
+        buckets=(DurationBucket(4, 2.0, 10.0, 0.1),),
+    )
+    session, reference, _ = generate_session(spec, 0, session_id="a")
+    _, orphan, _ = generate_session(spec, 1, session_id="b")
+    with pytest.raises(ValueError, match=r"reference sessions \['b'\] have no hypothesis"):
+        run_report([session], [reference, orphan], (), (), seed=0)
+
+
 def test_pooled_and_macro_aggregation():
     from slrkit.metrics import CpWerReport
 
