@@ -147,6 +147,56 @@ def _column_min(column: _Column, m: int, top: int) -> int:
     return low
 
 
+_SUFFIX_SENTINEL = 1 << 40
+
+
+def _column_values(
+    columns: Sequence[_Column],
+    lengths: Sequence[int],
+    width: int,
+    *,
+    suffix: bool = False,
+) -> np.ndarray:
+    """DP values of several kernel columns as one ``(len(columns), width + 1)`` array.
+
+    Column ``r`` belongs to a pattern of ``lengths[r] <= width`` tokens and
+    row ``r`` holds its values at pattern rows ``0..lengths[r]``, then repeats
+    the last one.  With ``suffix`` the columns were run on reversed patterns
+    over reversed text, and each row is read back to front: entry ``j`` is the
+    distance of ``pattern[j:]`` and entries past ``lengths[r]`` hold a large
+    sentinel.  A prefix row plus a suffix row, minimized, is then the
+    distance of the whole text: D(p, X + Y) = min_j D(p[:j], X) + D(p[j:], Y).
+    """
+    count = len(columns)
+    nbytes = width // 8 + 1
+    if suffix:
+        # bit m - 1 goes to the top, so big-endian unpacking reads rows m - 1, m - 2, ...
+        shifts = [8 * nbytes - m for m in lengths]
+        ints = [c.pv << s for c, s in zip(columns, shifts)]
+        ints += [c.mv << s for c, s in zip(columns, shifts)]
+        order = "big"
+    else:
+        ints = [c.pv for c in columns] + [c.mv for c in columns]
+        order = "little"
+    raw = b"".join(value.to_bytes(nbytes, order) for value in ints)
+    bits = np.unpackbits(
+        np.frombuffer(raw, np.uint8).reshape(2, count, nbytes), axis=2, bitorder=order
+    )
+    values = np.zeros((count, width + 1), dtype=np.int64)
+    np.cumsum(
+        np.subtract(bits[0, :, :width], bits[1, :, :width], dtype=np.int64),
+        axis=1,
+        out=values[:, 1:],
+    )
+    scores = np.array([c.score for c in columns], dtype=np.int64)
+    if suffix:
+        values = scores[:, None] - values
+        values[np.arange(width + 1) > np.asarray(lengths)[:, None]] = _SUFFIX_SENTINEL
+    else:
+        values += (scores - values[:, -1])[:, None]
+    return values
+
+
 def token_distance(ref: Sequence[str], hyp: Sequence[str]) -> int:
     """Total minimal edit distance (unit costs) between two token sequences."""
     return _advance(_match_masks(ref), len(ref), hyp).score

@@ -5,15 +5,17 @@ session cpWER; it lower-bounds what any reassignment method can reach.
 Exact mode enumerates every assignment (with branch-and-bound pruning that
 never changes the result); greedy mode scales to long sessions via local
 alignment initialization plus coordinate descent.  Both score alignments with
-the bit-parallel Levenshtein kernel of :mod:`slrkit.metrics`: the greedy
-columns as plain distances, the initialization with its free-start flag, and
-the exact search by extending one kernel column per speaker and segment.
+the bit-parallel Levenshtein kernel of :mod:`slrkit.metrics`: the
+initialization with its free-start flag, the exact search by extending one
+kernel column per speaker and segment, and the greedy search from cached
+prefix columns and suffix values at each cluster's segment boundaries,
+joined by the split D(ref, X + Y) = min_j D(ref[:j], X) + D(ref[j:], Y).
 """
 
 from __future__ import annotations
 
-import itertools
-from typing import Sequence
+import bisect
+from typing import NamedTuple, Sequence
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
@@ -21,8 +23,10 @@ from scipy.optimize import linear_sum_assignment
 from .corpus import LabelAssignment, ReferenceTranscript, SessionHypothesis
 from .metrics import (
     CpWerReport,
+    _Column,
     _advance,
     _column_min,
+    _column_values,
     _match_masks,
     cpwer_from_segments,
     segment_order,
@@ -90,6 +94,21 @@ def _exact_search(
     return best_cost, best_labels
 
 
+class _Boundaries(NamedTuple):
+    """Kernel state of one cluster's stream at its segment boundaries.
+
+    Boundary ``p`` falls before the cluster's ``p``-th segment.  ``heads[p][r]``
+    is the kernel column of the stream before it against reference ``r``,
+    ``suffixes[p, r, j]`` the distance of ``refs[r][j:]`` to the stream after
+    it (``metrics._column_values`` layout), and ``removals[p, r]`` the
+    distance of the whole stream without its ``p``-th segment.
+    """
+
+    heads: list[list[_Column]]
+    suffixes: np.ndarray
+    removals: np.ndarray
+
+
 def _greedy_search(
     segments: list[tuple[str, ...]], refs: list[tuple[str, ...]]
 ) -> tuple[int, list[int]]:
@@ -99,6 +118,15 @@ def _greedy_search(
     one that decreases the cpWER error count the most (first such move on
     ties); terminates when no move helps, which is guaranteed because the
     error count strictly decreases.
+
+    No candidate stream is re-aligned from its first word.  Each cluster
+    keeps, per reference, the kernel column of every stream prefix that ends
+    at a segment boundary, and the DP values of every suffix from the kernel
+    run backwards on the reversed reference.  They combine by the split
+    D(ref, X + Y) = min_j D(ref[:j], X) + D(ref[j:], Y) (Hirschberg 1975):
+    removing a segment joins the prefix before it to the suffix after it,
+    and adding one advances a prefix column over the segment's words only.
+    An applied move rebuilds the two clusters it touched.
     """
     k = len(refs)
     num_segments = len(segments)
@@ -107,24 +135,47 @@ def _greedy_search(
         for words in segments
     ]
 
+    lengths = [len(ref) for ref in refs]
+    width = max(lengths)
     masks = [_match_masks(ref) for ref in refs]
+    reversed_masks = [_match_masks(ref[::-1]) for ref in refs]
     column_cache: dict[tuple[int, ...], np.ndarray] = {}
 
-    def column(members: tuple[int, ...]) -> np.ndarray:
-        cached = column_cache.get(members)
-        if cached is None:
-            stream = tuple(itertools.chain.from_iterable(segments[i] for i in members))
-            cached = np.array(
-                [_advance(masks[r], len(refs[r]), stream).score for r in range(k)],
-                dtype=np.int64,
-            )
-            column_cache[members] = cached
-        return cached
+    def boundaries(h: int) -> _Boundaries:
+        stream = [segments[i] for i in members[h]]
+        head = [_advance(masks[r], lengths[r], ()) for r in range(k)]
+        tail = [_advance(reversed_masks[r], lengths[r], ()) for r in range(k)]
+        heads, tails = [head], [tail]
+        for words, back in zip(stream, reversed(stream)):
+            head = [_advance(masks[r], lengths[r], words, head[r]) for r in range(k)]
+            tail = [
+                _advance(reversed_masks[r], lengths[r], back[::-1], tail[r])
+                for r in range(k)
+            ]
+            heads.append(head)
+            tails.append(tail)
+        tails.reverse()
+        shape = (len(heads), k, width + 1)
+        flat = lengths * len(heads)
+        prefix = _column_values([c for cs in heads for c in cs], flat, width)
+        suffix = _column_values([c for cs in tails for c in cs], flat, width, suffix=True)
+        prefix, suffix = prefix.reshape(shape), suffix.reshape(shape)
+        return _Boundaries(heads, suffix, (prefix[:-1] + suffix[1:]).min(axis=2))
+
+    def insertion(h: int, q: int, words: tuple[str, ...]) -> np.ndarray:
+        """Distances of cluster h's stream with ``words`` inserted at boundary q."""
+        state = states[h]
+        ends = [_advance(masks[r], lengths[r], words, state.heads[q][r]) for r in range(k)]
+        return (_column_values(ends, lengths, width) + state.suffixes[q]).min(axis=1)
 
     members: list[list[int]] = [[] for _ in range(k)]
     for i, label in enumerate(labels):
         members[label].append(i)
-    cost = np.stack([column(tuple(members[h])) for h in range(k)], axis=1)
+    states = [boundaries(h) for h in range(k)]
+    cost = np.stack(
+        [np.array([c.score for c in state.heads[-1]], dtype=np.int64) for state in states],
+        axis=1,
+    )
     rows, cols = linear_sum_assignment(cost)
     current = int(cost[rows, cols].sum())
 
@@ -133,14 +184,20 @@ def _greedy_search(
         best_move = None
         for i in range(num_segments):
             a = labels[i]
-            removed = tuple(m for m in members[a] if m != i)
+            p = members[a].index(i)
+            removed = tuple(members[a][:p] + members[a][p + 1 :])
+            if removed not in column_cache:
+                column_cache[removed] = states[a].removals[p]
             for b in range(k):
                 if b == a:
                     continue
-                added = tuple(sorted(members[b] + [i]))
+                q = bisect.bisect(members[b], i)
+                added = tuple(members[b][:q] + [i] + members[b][q:])
+                if added not in column_cache:
+                    column_cache[added] = insertion(b, q, segments[i])
                 candidate = cost.copy()
-                candidate[:, a] = column(removed)
-                candidate[:, b] = column(added)
+                candidate[:, a] = column_cache[removed]
+                candidate[:, b] = column_cache[added]
                 rows, cols = linear_sum_assignment(candidate)
                 total = int(candidate[rows, cols].sum())
                 if total < best_total:
@@ -152,6 +209,7 @@ def _greedy_search(
         labels[i] = b
         members[a].remove(i)
         members[b] = sorted(members[b] + [i])
+        states[a], states[b] = boundaries(a), boundaries(b)
         current = best_total
     return current, labels
 

@@ -12,6 +12,10 @@ from hypothesis import strategies as st
 
 from slrkit.corpus import LabelAssignment, ReferenceTranscript, Segment, SessionHypothesis
 from slrkit.metrics import (
+    _SUFFIX_SENTINEL,
+    _advance,
+    _column_values,
+    _match_masks,
     brute_force_cpwer,
     cpwer,
     cpwer_from_segments,
@@ -119,6 +123,54 @@ def test_kernel_matches_reference_meeting_length_pairs():
             else:
                 hyp.insert(pos, str(rng.choice(vocab)))
         assert_kernel_matches_reference(ref, tuple(hyp))
+
+
+@st.composite
+def patterns_and_text(draw):
+    """1-3 patterns and one text over a vocabulary of 1-5 words, each 0-40 long."""
+    vocab = "abcde"[: draw(st.integers(1, 5))]
+    words = st.lists(st.sampled_from(vocab), max_size=40).map(tuple)
+    return draw(st.lists(words, min_size=1, max_size=3)), draw(words)
+
+
+def prefix_values(patterns, text):
+    columns = [_advance(_match_masks(p), len(p), text) for p in patterns]
+    lengths = [len(p) for p in patterns]
+    return _column_values(columns, lengths, max(lengths))
+
+
+def suffix_values(patterns, text):
+    columns = [_advance(_match_masks(p[::-1]), len(p), text[::-1]) for p in patterns]
+    lengths = [len(p) for p in patterns]
+    return _column_values(columns, lengths, max(lengths), suffix=True)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(patterns_and_text())
+def test_column_values_match_reference_table(inputs):
+    patterns, text = inputs
+    width = max(len(p) for p in patterns)
+    rows = zip(patterns, prefix_values(patterns, text), suffix_values(patterns, text))
+    for pattern, prefix, suffix in rows:
+        m = len(pattern)
+        column = [row[-1] for row in reference_table(pattern, text)]
+        assert prefix.tolist() == column + [column[-1]] * (width - m)
+        # row j of the reversed table is the distance of pattern[m - j:]
+        backward = [row[-1] for row in reference_table(pattern[::-1], text[::-1])]
+        assert suffix[: m + 1].tolist() == backward[::-1]
+        assert (suffix[m + 1 :] == _SUFFIX_SENTINEL).all()
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(patterns_and_text())
+def test_prefix_and_suffix_values_split_the_distance(inputs):
+    # D(p, X + Y) = min_j D(p[:j], X) + D(p[j:], Y) at every split of the text
+    patterns, text = inputs
+    whole = [token_distance(p, text) for p in patterns]
+    for split in range(len(text) + 1):
+        prefix = prefix_values(patterns, text[:split])
+        suffix = suffix_values(patterns, text[split:])
+        assert (prefix + suffix).min(axis=1).tolist() == whole
 
 
 def test_edit_distance_equal_sequences():

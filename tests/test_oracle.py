@@ -1,13 +1,22 @@
-"""Oracle assignment (exact and greedy) and the relative confusion-error measure."""
+"""Oracle assignment (exact and greedy) and the relative confusion-error measure.
+
+The greedy search scores candidate moves from cached boundary columns; the
+search it replaced, which re-aligns every candidate stream from its first
+word, is kept here as an independent reference for it.
+"""
 
 import hashlib
+import itertools
 
 import numpy as np
 import pytest
+from scipy.optimize import linear_sum_assignment
 
 from slrkit.corpus import LabelAssignment, ReferenceTranscript, Segment, SessionHypothesis
-from slrkit.metrics import cpwer_from_segments
+from slrkit.metrics import _advance, _match_masks, cpwer_from_segments, segment_order
 from slrkit.oracle import (
+    _free_end_gap_cost,
+    _greedy_search,
     exact_fits_budget,
     oracle_assignment,
     relative_confusion_error,
@@ -257,3 +266,150 @@ def test_greedy_oracle_meeting_scale_regression():
     assert report.errors == 415
     digest = hashlib.sha256(",".join(map(str, assignment.labels)).encode()).hexdigest()
     assert digest == "30d7af51410b26340090c51f3a22b6d236d62876e0fe18de2d88f59a6402e940"
+
+
+def full_stream_greedy(segments, refs, moves=None):
+    """Greedy search that re-aligns each candidate cluster stream from its first word.
+
+    Same initialization, move order and tie-breaks as ``_greedy_search``.
+    ``moves``, when given, receives ``(empties_source, into_empty)`` per
+    applied move.
+    """
+    k = len(refs)
+    labels = [
+        int(np.argmin([_free_end_gap_cost(words, ref) for ref in refs]))
+        for words in segments
+    ]
+    masks = [_match_masks(ref) for ref in refs]
+    column_cache = {}
+
+    def column(members):
+        cached = column_cache.get(members)
+        if cached is None:
+            stream = tuple(itertools.chain.from_iterable(segments[i] for i in members))
+            cached = np.array(
+                [_advance(masks[r], len(refs[r]), stream).score for r in range(k)],
+                dtype=np.int64,
+            )
+            column_cache[members] = cached
+        return cached
+
+    members = [[] for _ in range(k)]
+    for i, label in enumerate(labels):
+        members[label].append(i)
+    cost = np.stack([column(tuple(members[h])) for h in range(k)], axis=1)
+    rows, cols = linear_sum_assignment(cost)
+    current = int(cost[rows, cols].sum())
+
+    while current > 0:
+        best_total = current
+        best_move = None
+        for i in range(len(segments)):
+            a = labels[i]
+            removed = tuple(m for m in members[a] if m != i)
+            for b in range(k):
+                if b == a:
+                    continue
+                added = tuple(sorted(members[b] + [i]))
+                candidate = cost.copy()
+                candidate[:, a] = column(removed)
+                candidate[:, b] = column(added)
+                rows, cols = linear_sum_assignment(candidate)
+                total = int(candidate[rows, cols].sum())
+                if total < best_total:
+                    best_total = total
+                    best_move = (i, a, b, candidate)
+        if best_move is None:
+            break
+        i, a, b, cost = best_move
+        if moves is not None:
+            moves.append((len(members[a]) == 1, not members[b]))
+        labels[i] = b
+        members[a].remove(i)
+        members[b] = sorted(members[b] + [i])
+        current = best_total
+    return current, labels
+
+
+def stream_inputs(session, ref):
+    segments = [tuple(session.segments[i].words) for i in segment_order(session)]
+    return segments, [tuple(words) for words in ref.per_speaker.values()]
+
+
+def greedy_cases():
+    """36 seeded sessions of 1-6 speakers, then two hand-made ones.
+
+    The first hand-made session moves a cluster's only segment out and later
+    moves a segment into the emptied cluster; the second reaches 0 errors
+    after a move into a cluster the initialization left empty.
+    """
+    for seed in range(36):
+        rng = np.random.default_rng([7, seed])
+        k = 1 + seed % 6
+        count = int(rng.integers(k + 2, 30))
+        spec = SynthSpec(
+            num_speakers=k,
+            dim=6,
+            min_angle_deg=40.0,
+            buckets=(DurationBucket(count, 0.5, 9.0, 0.3),),
+            words_per_segment=(1, 6),
+            corruption=float(rng.uniform(0.0, 0.4)),
+            confusion=float(rng.uniform(0.2, 0.8)),
+            shared_vocabulary=bool(seed % 2),
+            vocab_size=int(rng.integers(3, 12)),
+        )
+        session, ref, _ = generate_session(spec, int(rng.integers(2**32)))
+        yield stream_inputs(session, ref)
+    for segments, refs in (
+        (["a", "b", "a", "b b", "a", "b"], ["b", "a", "a a b b b"]),
+        (["b a", "a a b", "b", "a"], ["b", "b a a a b", "a"]),
+    ):
+        yield [tuple(s.split()) for s in segments], [tuple(r.split()) for r in refs]
+
+
+def test_greedy_search_matches_full_stream_reference():
+    speaker_counts = set()
+    unequal_lengths = emptied = into_empty = zero_after_moves = 0
+    for segments, refs in greedy_cases():
+        moves = []
+        expected = full_stream_greedy(segments, refs, moves)
+        assert _greedy_search(segments, refs) == expected, (segments, refs)
+        speaker_counts.add(len(refs))
+        unequal_lengths += len({len(ref) for ref in refs}) > 1
+        emptied += any(source for source, _ in moves)
+        into_empty += any(target for _, target in moves)
+        zero_after_moves += expected[0] == 0 and bool(moves)
+    # the corpus exercises every case the boundary state has to get right
+    assert speaker_counts == {1, 2, 3, 4, 5, 6}
+    assert unequal_lengths >= 20
+    assert emptied and into_empty and zero_after_moves
+
+
+def test_greedy_oracle_multi_move_regression():
+    # the sweep workload's 6-speaker tier: 45 short segments over a shared
+    # 15-word vocabulary.  The descent applies at least 16 moves, so every
+    # rebuild of a cluster's boundary state is on the path; the pinned error
+    # count and label digest come from the full-stream search.
+    spec = SynthSpec(
+        num_speakers=6,
+        dim=8,
+        min_angle_deg=50.0,
+        buckets=(
+            DurationBucket(18, 8.0, 15.0, 0.05),
+            DurationBucket(27, 0.5, 1.9, 0.5),
+        ),
+        words_per_segment=(2, 4),
+        corruption=0.3,
+        confusion=0.3,
+        noise_correlation=0.9,
+        shared_vocabulary=True,
+        vocab_size=15,
+    )
+    session, ref, _ = generate_session(spec, session_seed(1, 1), session_id="sweep1")
+    moves = []
+    errors, _ = full_stream_greedy(*stream_inputs(session, ref), moves)
+    assert len(moves) >= 16
+    assignment, report = oracle_assignment(session, ref, "greedy")
+    assert report.errors == errors == 52
+    digest = hashlib.sha256(",".join(map(str, assignment.labels)).encode()).hexdigest()
+    assert digest == "8506d258b4eb00b466ef4a86ca498af1e272e7f67022bfd383a27a9d5ddee3bd"
