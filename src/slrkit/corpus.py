@@ -362,7 +362,7 @@ def _dump_record(segment: Segment, speaker: str) -> str:
         "end": segment.end,
         "speaker": speaker,
         "words": " ".join(segment.words),
-        "embedding": [float(v) for v in segment.embedding],
+        "embedding": segment.embedding.tolist(),
     }
     return json.dumps(record)
 

@@ -70,14 +70,12 @@ class _Column(NamedTuple):
 
     Bit ``i`` of ``pv`` (``mv``) is set when the column's value at pattern
     row ``i + 1`` is one more (one less) than at row ``i``.  ``score`` is the
-    value at the last row; ``low`` is the smallest last-row value over the
-    columns consumed by the call that produced this one, its start included.
+    value at the last row.
     """
 
     pv: int
     mv: int
     score: int
-    low: int
 
 
 def _match_masks(pattern: Sequence[str]) -> dict[str, int]:
@@ -94,47 +92,37 @@ def _advance(
     words: Iterable[str],
     start: _Column | None = None,
     *,
-    free_start: bool = False,
     columns: list[tuple[int, int, int, int]] | None = None,
 ) -> _Column:
     """Consume ``words`` as text against a length-``m`` pattern (Myers 1999; Hyyrö 2001).
 
     The whole DP column is held in two Python ints, so one word costs a
     constant number of big-int operations.  ``start`` defaults to the empty
-    text (row ``i`` holds ``i``).  Row 0 grows by one per consumed word,
-    unless ``free_start`` makes it stay 0, which lets the pattern match
-    anywhere in the text; the minimum over end positions is then ``low``.
+    text (row ``i`` holds ``i``); row 0 grows by one per consumed word.
     ``columns``, when given, receives ``(pv, mv, ph, mh)`` per word, where bit
     ``i`` of ``ph`` (``mh``) marks a +1 (-1) step from the previous column at
     row ``i``.
     """
     full = (1 << m) - 1
-    if start is None:
-        pv, mv, score = full, 0, m
-    else:
-        pv, mv, score = start.pv, start.mv, start.score
-    low = score
+    pv, mv, score = (full, 0, m) if start is None else start
     last_row = 1 << m
-    carry = 0 if free_start else 1
     get = masks.get
     for word in words:
         eq = get(word, 0)
         xv = eq | mv
         xh = (((eq & pv) + pv) ^ pv) | eq
         # masked only to stay non-negative: big-int ops on negatives are slower
-        ph = ((mv | (full & ~(xh | pv))) << 1) | carry
+        ph = ((mv | (full & ~(xh | pv))) << 1) | 1
         mh = (pv & xh) << 1
         if ph & last_row:
             score += 1
         elif mh & last_row:
             score -= 1
-            if score < low:
-                low = score
         pv = (mh | ~(xv | ph)) & full
         mv = ph & xv
         if columns is not None:
             columns.append((pv, mv, ph, mh))
-    return _Column(pv, mv, score, low)
+    return _Column(pv, mv, score)
 
 
 def _column_min(column: _Column, m: int, top: int) -> int:

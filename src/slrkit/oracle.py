@@ -6,10 +6,10 @@ Exact mode enumerates every assignment (with branch-and-bound pruning that
 never changes the result); greedy mode scales to long sessions via local
 alignment initialization plus coordinate descent.  Both score alignments with
 the bit-parallel Levenshtein kernel of :mod:`slrkit.metrics`: the
-initialization with its free-start flag, the exact search by extending one
-kernel column per speaker and segment, and the greedy search from cached
-prefix columns and suffix values at each cluster's segment boundaries,
-joined by the split D(ref, X + Y) = min_j D(ref[:j], X) + D(ref[j:], Y).
+initialization with each reference as pattern from an all-zero column, the
+exact search by extending one kernel column per speaker and segment, and the
+greedy search from cached prefix columns and suffix values at each cluster's
+segment boundaries, joined by D(ref, X + Y) = min_j D(ref[:j], X) + D(ref[j:], Y).
 """
 
 from __future__ import annotations
@@ -40,13 +40,30 @@ def exact_fits_budget(num_ref_speakers: int, num_segments: int) -> bool:
     return num_ref_speakers**num_segments <= EXACT_SEARCH_BUDGET
 
 
-def _free_end_gap_cost(pattern: Sequence[str], text: Sequence[str]) -> int:
-    """Edit cost of the pattern against its best-matching window of the text.
+def _free_end_gap_costs(
+    segments: Sequence[Sequence[str]], refs: Sequence[Sequence[str]]
+) -> np.ndarray:
+    """Edit cost of each segment against its best-matching window of each reference.
 
-    Unconsumed text before and after the window is free, approximating the
-    cost of the best contiguous match.
+    Unconsumed reference words before and after the window are free.  The
+    reference is the kernel pattern and the start column is all zeros, so the
+    match may start at any row; the kernel steps over the segment's words
+    only, and the cost is the minimum of the final column.
     """
-    return _advance(_match_masks(pattern), len(pattern), text, free_start=True).low
+    lengths = [len(ref) for ref in refs]
+    masks = [_match_masks(ref) for ref in refs]
+    ends = [
+        _advance(masks[r], lengths[r], words, _Column(0, 0, 0))
+        for words in segments
+        for r in range(len(refs))
+    ]
+    values = _column_values(ends, lengths * len(segments), max(lengths))
+    return values.min(axis=1).reshape(len(segments), len(refs))
+
+
+def _free_end_gap_cost(pattern: Sequence[str], text: Sequence[str]) -> int:
+    """Edit cost of the pattern against its best-matching window of the text."""
+    return int(_free_end_gap_costs([pattern], [text])[0, 0])
 
 
 def _exact_search(
@@ -114,10 +131,11 @@ def _greedy_search(
 ) -> tuple[int, list[int]]:
     """Free-end-gap initialization followed by best-move coordinate descent.
 
-    Each round evaluates every single-segment reassignment and applies the
-    one that decreases the cpWER error count the most (first such move on
-    ties); terminates when no move helps, which is guaranteed because the
-    error count strictly decreases.
+    Each segment starts at the reference it matches best (first on ties),
+    all S x k costs from one batched decode.  Each round evaluates every
+    single-segment reassignment and applies the one that decreases the cpWER
+    error count the most (first such move on ties); terminates when no move
+    helps, which is guaranteed because the error count strictly decreases.
 
     No candidate stream is re-aligned from its first word.  Each cluster
     keeps, per reference, the kernel column of every stream prefix that ends
@@ -126,14 +144,13 @@ def _greedy_search(
     D(ref, X + Y) = min_j D(ref[:j], X) + D(ref[j:], Y) (Hirschberg 1975):
     removing a segment joins the prefix before it to the suffix after it,
     and adding one advances a prefix column over the segment's words only.
-    An applied move rebuilds the two clusters it touched.
+    A round first collects its uncached insertions and decodes all of their
+    columns at once, then scores the moves in order.  An applied move
+    rebuilds the two clusters it touched.
     """
     k = len(refs)
     num_segments = len(segments)
-    labels = [
-        int(np.argmin([_free_end_gap_cost(words, ref) for ref in refs]))
-        for words in segments
-    ]
+    labels = _free_end_gap_costs(segments, refs).argmin(axis=1).tolist()
 
     lengths = [len(ref) for ref in refs]
     width = max(lengths)
@@ -162,12 +179,6 @@ def _greedy_search(
         prefix, suffix = prefix.reshape(shape), suffix.reshape(shape)
         return _Boundaries(heads, suffix, (prefix[:-1] + suffix[1:]).min(axis=2))
 
-    def insertion(h: int, q: int, words: tuple[str, ...]) -> np.ndarray:
-        """Distances of cluster h's stream with ``words`` inserted at boundary q."""
-        state = states[h]
-        ends = [_advance(masks[r], lengths[r], words, state.heads[q][r]) for r in range(k)]
-        return (_column_values(ends, lengths, width) + state.suffixes[q]).min(axis=1)
-
     members: list[list[int]] = [[] for _ in range(k)]
     for i, label in enumerate(labels):
         members[label].append(i)
@@ -180,8 +191,8 @@ def _greedy_search(
     current = int(cost[rows, cols].sum())
 
     while current > 0:
-        best_total = current
-        best_move = None
+        moves = []
+        misses: dict[tuple[int, ...], tuple[int, int, int]] = {}  # -> (b, q, i)
         for i in range(num_segments):
             a = labels[i]
             p = members[a].index(i)
@@ -194,15 +205,29 @@ def _greedy_search(
                 q = bisect.bisect(members[b], i)
                 added = tuple(members[b][:q] + [i] + members[b][q:])
                 if added not in column_cache:
-                    column_cache[added] = insertion(b, q, segments[i])
-                candidate = cost.copy()
-                candidate[:, a] = column_cache[removed]
-                candidate[:, b] = column_cache[added]
-                rows, cols = linear_sum_assignment(candidate)
-                total = int(candidate[rows, cols].sum())
-                if total < best_total:
-                    best_total = total
-                    best_move = (i, a, b, candidate)
+                    misses.setdefault(added, (b, q, i))
+                moves.append((i, a, b, removed, added))
+        if misses:
+            ends = [
+                _advance(masks[r], lengths[r], segments[i], states[b].heads[q][r])
+                for b, q, i in misses.values()
+                for r in range(k)
+            ]
+            values = _column_values(ends, lengths * len(misses), width)
+            values = values.reshape(len(misses), k, width + 1)
+            values += np.stack([states[b].suffixes[q] for b, q, _ in misses.values()])
+            column_cache.update(zip(misses, values.min(axis=2)))
+        best_total = current
+        best_move = None
+        for i, a, b, removed, added in moves:
+            candidate = cost.copy()
+            candidate[:, a] = column_cache[removed]
+            candidate[:, b] = column_cache[added]
+            rows, cols = linear_sum_assignment(candidate)
+            total = int(candidate[rows, cols].sum())
+            if total < best_total:
+                best_total = total
+                best_move = (i, a, b, candidate)
         if best_move is None:
             break
         i, a, b, cost = best_move

@@ -203,6 +203,43 @@ def test_round_trip_preserves_embeddings_bitwise():
         assert a.embedding.tobytes() == b.embedding.tobytes()
 
 
+def test_write_assignment_bytes_match_per_element_serialization(tmp_path):
+    # ``embedding.tolist()`` must write the bytes the per-element ``float(v)``
+    # list wrote, for float32-origin (sidecar) and float64 embeddings
+    rng = np.random.default_rng(5)
+    corpus.write_embeddings_sidecar(tmp_path / "emb.slre", rng.standard_normal((6, 9)))
+    records = []
+    for i in range(12):
+        record = seg_record(segment_id=f"seg{i}", start=float(i), end=i + 0.5)
+        if i % 2:
+            record["embedding"] = (rng.standard_normal(9) * 10.0 ** (i - 6)).tolist()
+        else:
+            del record["embedding"]
+            record["embedding_ref"] = {"file": "emb.slre", "index": i // 2}
+        records.append(record)
+    path = tmp_path / "segments.jsonl"
+    path.write_bytes(lines(*records))
+    (session,) = corpus.parse_segments(path)
+    labels = tuple(i % 3 for i in range(12))
+    out = io.StringIO()
+    corpus.write_assignment(session, corpus.LabelAssignment("s1", labels), out)
+    expected = [
+        json.dumps(
+            {
+                "session_id": seg.session_id,
+                "segment_id": seg.segment_id,
+                "start": seg.start,
+                "end": seg.end,
+                "speaker": f"spk{label}",
+                "words": " ".join(seg.words),
+                "embedding": [float(v) for v in seg.embedding],
+            }
+        )
+        for seg, label in zip(session.segments, labels)
+    ]
+    assert out.getvalue() == "".join(line + "\n" for line in expected)
+
+
 def test_segment_order_preserved_end_to_end():
     rng = np.random.default_rng(1)
     ids = [f"seg{i}" for i in rng.permutation(20)]

@@ -16,12 +16,14 @@ from slrkit.corpus import LabelAssignment, ReferenceTranscript, Segment, Session
 from slrkit.metrics import _advance, _match_masks, cpwer_from_segments, segment_order
 from slrkit.oracle import (
     _free_end_gap_cost,
+    _free_end_gap_costs,
     _greedy_search,
     exact_fits_budget,
     oracle_assignment,
     relative_confusion_error,
 )
 from slrkit.pipeline import DurationBucket, SynthSpec, generate_session, session_seed
+from test_metrics import reference_table
 
 
 def make_session(segment_words, speakers=None):
@@ -211,6 +213,51 @@ def test_free_end_gap_cost_matches_window_enumeration():
             for j in range(i, len(text) + 1)
         ]
         assert fast == min(windows), (pattern, text)
+
+
+def test_free_end_gap_costs_match_plain_table():
+    # the batched initialization matrix against the O(mn) table with a free
+    # start row, kept in test_metrics and independent of the kernel; the
+    # sessions hold empty segments and unequal references, and the last one
+    # a reference of over 1000 words, so the kernel's pattern spans many
+    # big-int digits
+    sessions = []
+    for seed in range(12):
+        rng = np.random.default_rng([11, seed])
+        k = 1 + seed % 4
+        spec = SynthSpec(
+            num_speakers=k,
+            dim=6,
+            min_angle_deg=40.0,
+            buckets=(DurationBucket(int(rng.integers(k + 3, 25)), 0.5, 9.0, 0.3),),
+            words_per_segment=(0, 8),
+            corruption=float(rng.uniform(0.0, 0.4)),
+            shared_vocabulary=bool(seed % 2),
+            vocab_size=int(rng.integers(2, 10)),
+        )
+        sessions.append(generate_session(spec, int(rng.integers(2**32)))[:2])
+    spec = SynthSpec(
+        num_speakers=2,
+        dim=6,
+        buckets=(DurationBucket(3, 0.5, 9.0, 0.3),),
+        words_per_segment=(500, 520),
+        corruption=0.1,
+        shared_vocabulary=True,
+        vocab_size=300,
+    )
+    sessions.append(generate_session(spec, session_seed(11, 12))[:2])
+    empty = unequal = 0
+    for session, ref in sessions:
+        segments, refs = stream_inputs(session, ref)
+        expected = [
+            [min(reference_table(words, r, free_start=True)[-1]) for r in refs]
+            for words in segments
+        ]
+        assert _free_end_gap_costs(segments, refs).tolist() == expected
+        empty += any(not words for words in segments)
+        unequal += len({len(r) for r in refs}) > 1
+    assert empty >= 6 and unequal >= 6
+    assert max(len(r) for r in refs) >= 1000
 
 
 def test_exact_search_matches_plain_enumeration():
