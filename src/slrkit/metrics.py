@@ -172,13 +172,14 @@ def _column_values(
     )
     values = np.zeros((count, width + 1), dtype=np.int64)
     np.cumsum(
-        np.subtract(bits[0, :, :width], bits[1, :, :width], dtype=np.int64),
+        np.subtract(bits[0, :, :width], bits[1, :, :width], dtype=np.int8),
         axis=1,
+        dtype=np.int64,
         out=values[:, 1:],
     )
     scores = np.array([c.score for c in columns], dtype=np.int64)
     if suffix:
-        values = scores[:, None] - values
+        np.subtract(scores[:, None], values, out=values)
         values[np.arange(width + 1) > np.asarray(lengths)[:, None]] = _SUFFIX_SENTINEL
     else:
         values += (scores - values[:, -1])[:, None]

@@ -15,7 +15,7 @@ segment boundaries, joined by D(ref, X + Y) = min_j D(ref[:j], X) + D(ref[j:], Y
 from __future__ import annotations
 
 import bisect
-from typing import NamedTuple, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
@@ -33,11 +33,22 @@ from .metrics import (
 )
 
 EXACT_SEARCH_BUDGET = 10**6
+# DP values per batched decode in the greedy search (8 MB as one int64 array)
+DECODE_BLOCK = 1 << 20
 
 
 def exact_fits_budget(num_ref_speakers: int, num_segments: int) -> bool:
     """Whether exhaustive assignment enumeration stays within budget."""
     return num_ref_speakers**num_segments <= EXACT_SEARCH_BUDGET
+
+
+def _blocks(items: list, row_values: int) -> Iterator[list]:
+    """Consecutive runs of ``items`` (``row_values`` DP values each) to decode together.
+
+    A run holds at most ``DECODE_BLOCK`` values, or one item if that is larger.
+    """
+    step = max(1, DECODE_BLOCK // row_values)
+    return (items[start : start + step] for start in range(0, len(items), step))
 
 
 def _free_end_gap_costs(
@@ -52,13 +63,16 @@ def _free_end_gap_costs(
     """
     lengths = [len(ref) for ref in refs]
     masks = [_match_masks(ref) for ref in refs]
-    ends = [
-        _advance(masks[r], lengths[r], words, _Column(0, 0, 0))
-        for words in segments
-        for r in range(len(refs))
-    ]
-    values = _column_values(ends, lengths * len(segments), max(lengths))
-    return values.min(axis=1).reshape(len(segments), len(refs))
+    costs = [np.empty((0, len(refs)), dtype=np.int64)]
+    for block in _blocks(list(segments), len(refs) * (max(lengths) + 1)):
+        ends = [
+            _advance(masks[r], lengths[r], words, _Column(0, 0, 0))
+            for words in block
+            for r in range(len(refs))
+        ]
+        values = _column_values(ends, lengths * len(block), max(lengths))
+        costs.append(values.min(axis=1).reshape(len(block), len(refs)))
+    return np.concatenate(costs)
 
 
 def _free_end_gap_cost(pattern: Sequence[str], text: Sequence[str]) -> int:
@@ -132,7 +146,7 @@ def _greedy_search(
     """Free-end-gap initialization followed by best-move coordinate descent.
 
     Each segment starts at the reference it matches best (first on ties),
-    all S x k costs from one batched decode.  Each round evaluates every
+    its S x k costs decoded in batches.  Each round evaluates every
     single-segment reassignment and applies the one that decreases the cpWER
     error count the most (first such move on ties); terminates when no move
     helps, which is guaranteed because the error count strictly decreases.
@@ -144,9 +158,9 @@ def _greedy_search(
     D(ref, X + Y) = min_j D(ref[:j], X) + D(ref[j:], Y) (Hirschberg 1975):
     removing a segment joins the prefix before it to the suffix after it,
     and adding one advances a prefix column over the segment's words only.
-    A round first collects its uncached insertions and decodes all of their
-    columns at once, then scores the moves in order.  An applied move
-    rebuilds the two clusters it touched.
+    A round first collects its uncached insertions and decodes their columns
+    in blocks of at most ``DECODE_BLOCK`` values, then scores the moves in
+    order.  An applied move rebuilds the two clusters it touched.
     """
     k = len(refs)
     num_segments = len(segments)
@@ -207,16 +221,16 @@ def _greedy_search(
                 if added not in column_cache:
                     misses.setdefault(added, (b, q, i))
                 moves.append((i, a, b, removed, added))
-        if misses:
+        for block in _blocks(list(misses.items()), k * (width + 1)):
             ends = [
                 _advance(masks[r], lengths[r], segments[i], states[b].heads[q][r])
-                for b, q, i in misses.values()
+                for _, (b, q, i) in block
                 for r in range(k)
             ]
-            values = _column_values(ends, lengths * len(misses), width)
-            values = values.reshape(len(misses), k, width + 1)
-            values += np.stack([states[b].suffixes[q] for b, q, _ in misses.values()])
-            column_cache.update(zip(misses, values.min(axis=2)))
+            values = _column_values(ends, lengths * len(block), width)
+            values = values.reshape(len(block), k, width + 1)
+            values += np.stack([states[b].suffixes[q] for _, (b, q, _) in block])
+            column_cache.update(zip([added for added, _ in block], values.min(axis=2)))
         best_total = current
         best_move = None
         for i, a, b, removed, added in moves:

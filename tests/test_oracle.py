@@ -7,6 +7,7 @@ word, is kept here as an independent reference for it.
 
 import hashlib
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from scipy.optimize import linear_sum_assignment
 
 from slrkit.corpus import LabelAssignment, ReferenceTranscript, Segment, SessionHypothesis
 from slrkit.metrics import _advance, _match_masks, cpwer_from_segments, segment_order
+from slrkit import oracle
 from slrkit.oracle import (
     _free_end_gap_cost,
     _free_end_gap_costs,
@@ -460,3 +462,42 @@ def test_greedy_oracle_multi_move_regression():
     assert report.errors == errors == 52
     digest = hashlib.sha256(",".join(map(str, assignment.labels)).encode()).hexdigest()
     assert digest == "8506d258b4eb00b466ef4a86ca498af1e272e7f67022bfd383a27a9d5ddee3bd"
+
+
+def test_greedy_decode_blocks_bound_memory_not_results(monkeypatch):
+    # 120 segments of 15-35 words over 4 references of up to about 800 words.  The
+    # first descent round inserts every segment into every other cluster;
+    # decoded at once, those 360 x 4 columns would hold about 9 MB per int64
+    # array.  Decoded DECODE_BLOCK values at a time, the traced peak stays
+    # within three copies of the boundary state the search keeps anyway
+    # (prefix, suffix and removal rows of every boundary) plus a few blocks,
+    # the initialization within a few blocks alone, and errors and labels do
+    # not depend on the block size.
+    spec = SynthSpec(
+        num_speakers=4,
+        dim=8,
+        buckets=(DurationBucket(120, 0.5, 9.0, 0.3),),
+        words_per_segment=(15, 35),
+        corruption=0.1,
+        confusion=0.3,
+        shared_vocabulary=True,
+        vocab_size=300,
+    )
+    session, ref, _ = generate_session(spec, session_seed(5, 0))
+    segments, refs = stream_inputs(session, ref)
+    costs, expected = _free_end_gap_costs(segments, refs), _greedy_search(segments, refs)
+    k, width = len(refs), max(len(r) for r in refs)
+    monkeypatch.setattr(oracle, "DECODE_BLOCK", 1 << 14)
+    assert oracle.DECODE_BLOCK < len(segments) * (k - 1) * k * (width + 1) // 20
+    tracemalloc.start()
+    try:
+        assert (_free_end_gap_costs(segments, refs) == costs).all()
+        setup_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        assert _greedy_search(segments, refs) == expected
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    blocks = 4 * 8 * oracle.DECODE_BLOCK + (1 << 20)
+    assert setup_peak < blocks
+    assert peak < 3 * (len(segments) + k) * k * (width + 1) * 8 + blocks
