@@ -2,9 +2,13 @@
 
 The oracle labels each segment with the reference speaker that minimizes the
 session cpWER; it lower-bounds what any reassignment method can reach.
-Exact mode enumerates every assignment (with branch-and-bound pruning that
-never changes the result); greedy mode scales to long sessions via local
-alignment initialization plus coordinate descent.  Both score alignments with
+Label ``c`` is reference speaker ``c``, so both modes minimize the diagonal
+objective, the sum over ``c`` of D(ref_c, stream_c), with no speaker
+permutation search of their own.  Exact mode enumerates every assignment
+(with branch-and-bound pruning that never changes the result); greedy mode
+scales to long sessions by coordinate descent from the cheaper of a local
+alignment initialization and the cheapest labeling the caller has already
+scored, so it scores no worse than any of those.  Both score alignments with
 the bit-parallel Levenshtein kernel of :mod:`slrkit.metrics`: the
 initialization with each reference as pattern from an all-zero column, the
 exact search by extending one kernel column per speaker and segment, and the
@@ -18,7 +22,6 @@ import bisect
 from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .corpus import LabelAssignment, ReferenceTranscript, SessionHypothesis
 from .metrics import (
@@ -30,6 +33,7 @@ from .metrics import (
     _match_masks,
     cpwer_from_segments,
     segment_order,
+    token_distance,
 )
 
 EXACT_SEARCH_BUDGET = 10**6
@@ -73,11 +77,6 @@ def _free_end_gap_costs(
         values = _column_values(ends, lengths * len(block), max(lengths))
         costs.append(values.min(axis=1).reshape(len(block), len(refs)))
     return np.concatenate(costs)
-
-
-def _free_end_gap_cost(pattern: Sequence[str], text: Sequence[str]) -> int:
-    """Edit cost of the pattern against its best-matching window of the text."""
-    return int(_free_end_gap_costs([pattern], [text])[0, 0])
 
 
 def _exact_search(
@@ -126,144 +125,167 @@ def _exact_search(
 
 
 class _Boundaries(NamedTuple):
-    """Kernel state of one cluster's stream at its segment boundaries.
+    """Kernel state of one cluster's stream against its own reference.
 
-    Boundary ``p`` falls before the cluster's ``p``-th segment.  ``heads[p][r]``
-    is the kernel column of the stream before it against reference ``r``,
-    ``suffixes[p, r, j]`` the distance of ``refs[r][j:]`` to the stream after
-    it (``metrics._column_values`` layout), and ``removals[p, r]`` the
-    distance of the whole stream without its ``p``-th segment.
+    Boundary ``p`` falls before the cluster's ``p``-th segment.  ``heads[p]``
+    is the kernel column of the stream before it, ``suffixes[p, j]`` the
+    distance of ``ref[j:]`` to the stream after it (``metrics._column_values``
+    layout), and ``removals[p]`` the distance of the whole stream without its
+    ``p``-th segment.  Cluster ``c`` is scored against reference ``c`` only,
+    and the state lives only while its cluster's costs are recomputed, so it
+    is O(cluster segments x reference length).
     """
 
-    heads: list[list[_Column]]
+    heads: list[_Column]
     suffixes: np.ndarray
     removals: np.ndarray
 
 
-def _greedy_search(
-    segments: list[tuple[str, ...]], refs: list[tuple[str, ...]]
+def _diagonal_cost(
+    segments: list[tuple[str, ...]], refs: list[tuple[str, ...]], labels: list[int]
+) -> int:
+    """Sum over clusters ``c`` of the distance of reference ``c`` to cluster ``c``'s stream."""
+    streams: list[list[str]] = [[] for _ in refs]
+    for words, label in zip(segments, labels):
+        streams[label].extend(words)
+    return sum(token_distance(ref, stream) for ref, stream in zip(refs, streams))
+
+
+def _descend(
+    segments: list[tuple[str, ...]], refs: list[tuple[str, ...]], labels: list[int]
 ) -> tuple[int, list[int]]:
-    """Free-end-gap initialization followed by best-move coordinate descent.
+    """Best-move coordinate descent on the diagonal objective from ``labels``.
 
-    Each segment starts at the reference it matches best (first on ties),
-    its S x k costs decoded in batches.  Each round evaluates every
-    single-segment reassignment and applies the one that decreases the cpWER
-    error count the most (first such move on ties); terminates when no move
-    helps, which is guaranteed because the error count strictly decreases.
+    Label ``c`` is reference ``c``, so the objective is the sum over ``c`` of
+    D(ref_c, stream_c) and moving segment ``i`` from ``a`` to ``b`` changes it
+    by ``removal[i] - D[a] + insert[i, b] - D[b]``.  Each round evaluates that
+    S x k delta array at once and applies its row-major ``argmin``: the move
+    that decreases the error count the most, first in (segment, target) order
+    on ties.  It stops when no move helps, which it must, because the error
+    count strictly decreases.
 
-    No candidate stream is re-aligned from its first word.  Each cluster
-    keeps, per reference, the kernel column of every stream prefix that ends
-    at a segment boundary, and the DP values of every suffix from the kernel
-    run backwards on the reversed reference.  They combine by the split
+    No candidate stream is re-aligned from its first word.  A cluster's costs
+    come from the kernel column of every stream prefix that ends at a segment
+    boundary and the DP values of every suffix, from the kernel run backwards
+    on the reversed reference.  They combine by the split
     D(ref, X + Y) = min_j D(ref[:j], X) + D(ref[j:], Y) (Hirschberg 1975):
     removing a segment joins the prefix before it to the suffix after it,
-    and adding one advances a prefix column over the segment's words only.
-    A round first collects its uncached insertions and decodes their columns
-    in blocks of at most ``DECODE_BLOCK`` values, then scores the moves in
-    order.  An applied move rebuilds the two clusters it touched.
+    and inserting one advances a prefix column over the segment's words only.
+    A move rebuilds the boundary state of the two clusters it touched and
+    refreshes their two insertion columns, decoded in blocks of at most
+    ``DECODE_BLOCK`` values; no other cost depends on them, so no state is
+    kept between rounds.
     """
     k = len(refs)
     num_segments = len(segments)
-    labels = _free_end_gap_costs(segments, refs).argmin(axis=1).tolist()
-
     lengths = [len(ref) for ref in refs]
-    width = max(lengths)
     masks = [_match_masks(ref) for ref in refs]
     reversed_masks = [_match_masks(ref[::-1]) for ref in refs]
-    column_cache: dict[tuple[int, ...], np.ndarray] = {}
-
-    def boundaries(h: int) -> _Boundaries:
-        stream = [segments[i] for i in members[h]]
-        head = [_advance(masks[r], lengths[r], ()) for r in range(k)]
-        tail = [_advance(reversed_masks[r], lengths[r], ()) for r in range(k)]
-        heads, tails = [head], [tail]
-        for words, back in zip(stream, reversed(stream)):
-            head = [_advance(masks[r], lengths[r], words, head[r]) for r in range(k)]
-            tail = [
-                _advance(reversed_masks[r], lengths[r], back[::-1], tail[r])
-                for r in range(k)
-            ]
-            heads.append(head)
-            tails.append(tail)
-        tails.reverse()
-        shape = (len(heads), k, width + 1)
-        flat = lengths * len(heads)
-        prefix = _column_values([c for cs in heads for c in cs], flat, width)
-        suffix = _column_values([c for cs in tails for c in cs], flat, width, suffix=True)
-        prefix, suffix = prefix.reshape(shape), suffix.reshape(shape)
-        return _Boundaries(heads, suffix, (prefix[:-1] + suffix[1:]).min(axis=2))
-
     members: list[list[int]] = [[] for _ in range(k)]
     for i, label in enumerate(labels):
         members[label].append(i)
-    states = [boundaries(h) for h in range(k)]
-    cost = np.stack(
-        [np.array([c.score for c in state.heads[-1]], dtype=np.int64) for state in states],
-        axis=1,
-    )
-    rows, cols = linear_sum_assignment(cost)
-    current = int(cost[rows, cols].sum())
 
-    while current > 0:
-        moves = []
-        misses: dict[tuple[int, ...], tuple[int, int, int]] = {}  # -> (b, q, i)
-        for i in range(num_segments):
-            a = labels[i]
-            p = members[a].index(i)
-            removed = tuple(members[a][:p] + members[a][p + 1 :])
-            if removed not in column_cache:
-                column_cache[removed] = states[a].removals[p]
-            for b in range(k):
-                if b == a:
-                    continue
-                q = bisect.bisect(members[b], i)
-                added = tuple(members[b][:q] + [i] + members[b][q:])
-                if added not in column_cache:
-                    misses.setdefault(added, (b, q, i))
-                moves.append((i, a, b, removed, added))
-        for block in _blocks(list(misses.items()), k * (width + 1)):
+    def boundaries(c: int) -> _Boundaries:
+        m = lengths[c]
+        stream = [segments[i] for i in members[c]]
+        head = _advance(masks[c], m, ())
+        tail = _advance(reversed_masks[c], m, ())
+        heads, tails = [head], [tail]
+        for words, back in zip(stream, reversed(stream)):
+            head = _advance(masks[c], m, words, head)
+            tail = _advance(reversed_masks[c], m, back[::-1], tail)
+            heads.append(head)
+            tails.append(tail)
+        tails.reverse()
+        rows = [m] * len(heads)
+        prefix = _column_values(heads, rows, m)
+        suffix = _column_values(tails, rows, m, suffix=True)
+        return _Boundaries(heads, suffix, (prefix[:-1] + suffix[1:]).min(axis=1))
+
+    current = np.array(labels)
+    removal = np.zeros(num_segments, dtype=np.int64)
+    insert = np.zeros((num_segments, k), dtype=np.int64)
+    distance = np.zeros(k, dtype=np.int64)
+
+    def refresh(c: int) -> None:
+        """Recompute cluster ``c``'s distance, removal costs and insertion column."""
+        m = lengths[c]
+        state = boundaries(c)
+        removal[members[c]] = state.removals
+        distance[c] = state.heads[-1].score
+        for block in _blocks(np.flatnonzero(current != c), m + 1):
+            at = [bisect.bisect(members[c], i) for i in block]
             ends = [
-                _advance(masks[r], lengths[r], segments[i], states[b].heads[q][r])
-                for _, (b, q, i) in block
-                for r in range(k)
+                _advance(masks[c], m, segments[i], state.heads[p])
+                for i, p in zip(block, at)
             ]
-            values = _column_values(ends, lengths * len(block), width)
-            values = values.reshape(len(block), k, width + 1)
-            values += np.stack([states[b].suffixes[q] for _, (b, q, _) in block])
-            column_cache.update(zip([added for added, _ in block], values.min(axis=2)))
-        best_total = current
-        best_move = None
-        for i, a, b, removed, added in moves:
-            candidate = cost.copy()
-            candidate[:, a] = column_cache[removed]
-            candidate[:, b] = column_cache[added]
-            rows, cols = linear_sum_assignment(candidate)
-            total = int(candidate[rows, cols].sum())
-            if total < best_total:
-                best_total = total
-                best_move = (i, a, b, candidate)
-        if best_move is None:
+            values = _column_values(ends, [m] * len(block), m) + state.suffixes[at]
+            insert[block, c] = values.min(axis=1)
+
+    for c in range(k):
+        refresh(c)
+    rows = np.arange(num_segments)
+    while distance.sum() > 0:
+        delta = insert - distance + (removal - distance[current])[:, None]
+        delta[rows, current] = 0
+        best = int(delta.argmin())
+        if delta.flat[best] >= 0:
             break
-        i, a, b, cost = best_move
-        labels[i] = b
+        i, b = divmod(best, k)
+        a = int(current[i])
+        current[i] = b
         members[a].remove(i)
-        members[b] = sorted(members[b] + [i])
-        states[a], states[b] = boundaries(a), boundaries(b)
-        current = best_total
-    return current, labels
+        bisect.insort(members[b], i)
+        refresh(a)
+        refresh(b)
+    return int(distance.sum()), current.tolist()
+
+
+def _greedy_search(
+    segments: list[tuple[str, ...]],
+    refs: list[tuple[str, ...]],
+    start: Sequence[int | None] | None = None,
+) -> tuple[int, list[int]]:
+    """Descent on the diagonal objective from the cheaper of two labelings.
+
+    One is the free-end-gap start: each segment at the reference it matches
+    best (first on ties), its S x k costs decoded in batches.  The other is
+    ``start``, a reference index per segment, where a ``None`` takes the
+    free-end-gap choice.  The descent runs once, from ``start`` only if its
+    diagonal cost is strictly lower; it never raises the cost, so the result
+    costs at most as much as either.
+    """
+    labels = _free_end_gap_costs(segments, refs).argmin(axis=1).tolist()
+    if start is not None:
+        mapped = [free if s is None else s for s, free in zip(start, labels)]
+        if _diagonal_cost(segments, refs, mapped) < _diagonal_cost(segments, refs, labels):
+            labels = mapped
+    return _descend(segments, refs, labels)
 
 
 def oracle_assignment(
     session: SessionHypothesis,
     reference: ReferenceTranscript,
     mode: str = "exact",
+    *,
+    starts: Sequence[tuple[Sequence[str], CpWerReport]] = (),
 ) -> tuple[LabelAssignment, CpWerReport]:
     """Segment labeling over the reference speakers that minimizes cpWER.
 
-    Label ``c`` stands for the c-th reference speaker (file order), so the
-    cpWER permutation of the result is the identity by construction.  Exact
-    mode requires (#reference speakers) ** (#segments) <=
-    ``EXACT_SEARCH_BUDGET``.
+    Label ``c`` stands for the c-th reference speaker (file order), and both
+    searches minimize the sum over ``c`` of D(ref_c, stream_c), with no
+    speaker permutation of their own.  Exact mode requires
+    (#reference speakers) ** (#segments) <= ``EXACT_SEARCH_BUDGET``.
+
+    ``starts`` are labelings the caller has already scored: per segment (in
+    session order) the hypothesis speaker name its ``CpWerReport`` pairs.
+    Greedy mode maps the one with the fewest errors (first on ties) to
+    reference speakers through ``report.mapping``, a segment of an unmapped
+    speaker taking its free-end-gap choice, and descends from it when that is
+    cheaper than the free-end-gap start.  A mapped labeling's diagonal cost
+    is at most its cpWER errors, so the greedy result scores no worse than
+    any start.  If the cpWER pairing of the result is cheaper than the
+    identity, the search relabels through it and descends again.
     """
     if mode not in ("exact", "greedy"):
         raise ValueError(f"mode must be 'exact' or 'greedy', got {mode!r}")
@@ -276,10 +298,26 @@ def oracle_assignment(
     k = len(ref_labels)
     if k == 0:
         raise ValueError("reference has no speakers")
+    if any(len(speakers) != len(session.segments) for speakers, _ in starts):
+        raise ValueError("each oracle start needs one speaker per segment")
 
     order = segment_order(session)
     refs = [tuple(reference.per_speaker[l]) for l in ref_labels]
     segments = [tuple(session.segments[i].words) for i in order]
+    index = {label: c for c, label in enumerate(ref_labels)}
+
+    def mapped(speakers: Sequence[str], report: CpWerReport) -> list[int | None]:
+        """Reference index per segment in stream order, ``None`` where unmapped."""
+        return [index.get(report.mapping.get(speakers[i])) for i in order]
+
+    def scored(ordered: list[int]) -> tuple[LabelAssignment, CpWerReport]:
+        labels = [0] * len(session.segments)
+        for position, segment_index in enumerate(order):
+            labels[segment_index] = ordered[position]
+        assignment = LabelAssignment(session_id=session.session_id, labels=tuple(labels))
+        return assignment, cpwer_from_segments(
+            reference, session, assignment, num_clusters=k, label_names=ref_labels
+        )
 
     if mode == "exact":
         if not exact_fits_budget(k, len(segments)):
@@ -289,15 +327,14 @@ def oracle_assignment(
             )
         cost, ordered_labels = _exact_search(segments, refs)
     else:
-        cost, ordered_labels = _greedy_search(segments, refs)
+        start = mapped(*min(starts, key=lambda s: s[1].errors)) if starts else None
+        cost, ordered_labels = _greedy_search(segments, refs, start)
 
-    labels = [0] * len(session.segments)
-    for position, segment_index in enumerate(order):
-        labels[segment_index] = ordered_labels[position]
-    assignment = LabelAssignment(session_id=session.session_id, labels=tuple(labels))
-    report = cpwer_from_segments(
-        reference, session, assignment, num_clusters=k, label_names=ref_labels
-    )
+    assignment, report = scored(ordered_labels)
+    while report.errors < cost:
+        speakers = [ref_labels[c] for c in assignment.labels]
+        cost, ordered_labels = _descend(segments, refs, mapped(speakers, report))
+        assignment, report = scored(ordered_labels)
     assert report.errors == cost
     return assignment, report
 
@@ -309,13 +346,15 @@ def relative_confusion_error(
 
     0 means the oracle assignment was reached, 1 means no improvement over
     skipping reassignment; values above 1 (reassignment made things worse)
-    are legal and not clamped.
+    are legal and not clamped.  An oracle above either other value is not a
+    lower bound, and raises.
     """
     if min(cpwer_none, cpwer_slr, cpwer_oracle) < 0:
         raise ValueError("cpWER values must be non-negative")
-    if cpwer_none < cpwer_oracle:
+    if min(cpwer_none, cpwer_slr) < cpwer_oracle:
         raise ValueError(
-            f"cpwer_none ({cpwer_none}) must be >= cpwer_oracle ({cpwer_oracle})"
+            f"oracle cpWER ({cpwer_oracle}) is not a lower bound: no reassignment "
+            f"scores {cpwer_none}, reassignment {cpwer_slr}"
         )
     denominator = cpwer_none - cpwer_oracle
     if denominator == 0:

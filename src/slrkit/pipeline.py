@@ -94,16 +94,14 @@ def _safe_relative(
     cpwer_none: float, cpwer_slr: float, cpwer_oracle: float
 ) -> float | None:
     """Relative confusion error, or None where the measure is undefined."""
-    if cpwer_none < cpwer_oracle:
-        warnings.warn(
-            "oracle cpWER exceeds the no-reassignment cpWER (greedy oracle "
-            "did not reach a lower bound); relative error undefined",
-            stacklevel=2,
-        )
-        return None
     if cpwer_none == cpwer_oracle and cpwer_slr != cpwer_oracle:
         return None
     return relative_confusion_error(cpwer_none, cpwer_slr, cpwer_oracle)
+
+
+def _cluster_speakers(assignment: LabelAssignment) -> list[str]:
+    """Per-segment hypothesis speaker names under which cpWER scores ``assignment``."""
+    return [f"spk{c}" for c in assignment.labels]
 
 
 def reassign(
@@ -128,7 +126,13 @@ def reassign(
     before = cpwer(reference, initial_speaker_streams(session))
     after = cpwer_from_segments(reference, session, assignment)
     mode = auto_oracle_mode(reference, session)
-    _, oracle_report = oracle_assignment(session, reference, mode)
+    initial = [seg.initial_speaker for seg in session.segments]
+    _, oracle_report = oracle_assignment(
+        session,
+        reference,
+        mode,
+        starts=[(initial, before), (_cluster_speakers(assignment), after)],
+    )
     relative = _safe_relative(before.cpwer, after.cpwer, oracle_report.cpwer)
     return assignment, ReassignReport(
         cpwer_before=before,
@@ -401,17 +405,36 @@ def run_report(
     """
     refs_by_session = references_by_session(sessions, references)
     seeds = [session_seed(seed, i) for i in range(len(sessions))]
+    configs = _grid_configs(step_alphas, poly_betas)
 
     none_reports = [
         cpwer(refs_by_session[s.session_id], initial_speaker_streams(s))
         for s in sessions
     ]
+    # every session's oracle starts from the labelings scored before it
+    starts = [
+        [([seg.initial_speaker for seg in s.segments], report)]
+        for s, report in zip(sessions, none_reports)
+    ]
+    clustered: dict[int, list[CpWerReport]] = {}
+    for row, (algorithm, attenuation) in enumerate(configs):
+        if algorithm in ("none", "oracle"):
+            continue
+        cfg = PipelineConfig(
+            algorithm=algorithm, attenuation=attenuation or AttenuationConfig()
+        )
+        clustered[row] = []
+        for s, child, session_starts in zip(sessions, seeds, starts):
+            assignment = cluster_session(s, cfg, child)
+            report = cpwer_from_segments(refs_by_session[s.session_id], s, assignment)
+            clustered[row].append(report)
+            session_starts.append((_cluster_speakers(assignment), report))
     oracle_reports = []
     oracle_modes = []
-    for s in sessions:
+    for s, session_starts in zip(sessions, starts):
         ref = refs_by_session[s.session_id]
         mode = auto_oracle_mode(ref, s)
-        _, report = oracle_assignment(s, ref, mode)
+        _, report = oracle_assignment(s, ref, mode, starts=session_starts)
         oracle_reports.append(report)
         oracle_modes.append(mode)
 
@@ -420,22 +443,13 @@ def run_report(
     macro_oracle = macro_cpwer(oracle_reports)
 
     rows = []
-    for algorithm, attenuation in _grid_configs(step_alphas, poly_betas):
+    for row, (algorithm, attenuation) in enumerate(configs):
         if algorithm == "none":
             reports = none_reports
         elif algorithm == "oracle":
             reports = oracle_reports
         else:
-            cfg = PipelineConfig(
-                algorithm=algorithm,
-                attenuation=attenuation or AttenuationConfig(),
-            )
-            reports = []
-            for s, child in zip(sessions, seeds):
-                assignment = cluster_session(s, cfg, child)
-                reports.append(
-                    cpwer_from_segments(refs_by_session[s.session_id], s, assignment)
-                )
+            reports = clustered[row]
         pooled = pooled_cpwer(reports)
         macro = macro_cpwer(reports)
         rows.append(
@@ -446,10 +460,10 @@ def run_report(
                 "beta": attenuation.beta if attenuation and attenuation.mode == "polynomial" else None,
                 "pooled_cpwer": pooled,
                 "macro_cpwer": macro,
-                "relative_confusion_error": _silent_relative(
+                "relative_confusion_error": _safe_relative(
                     pooled_none, pooled, pooled_oracle
                 ),
-                "macro_relative_confusion_error": _silent_relative(
+                "macro_relative_confusion_error": _safe_relative(
                     macro_none, macro, macro_oracle
                 ),
                 "oracle_modes": sorted(set(oracle_modes))
@@ -458,9 +472,3 @@ def run_report(
             }
         )
     return rows
-
-
-def _silent_relative(none: float, slr: float, oracle_value: float) -> float | None:
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        return _safe_relative(none, slr, oracle_value)

@@ -22,7 +22,7 @@ from slrkit.metrics import (
     edit_distance,
     token_distance,
 )
-from slrkit.oracle import _free_end_gap_cost
+from slrkit.oracle import _free_end_gap_costs
 
 
 def toks(text):
@@ -85,7 +85,7 @@ def assert_kernel_matches_reference(ref, hyp):
     assert counts.total == dp[-1][-1]
     sdi = (counts.substitutions, counts.deletions, counts.insertions)
     assert sdi == reference_counts(ref, hyp), (ref, hyp)
-    assert _free_end_gap_cost(ref, hyp) == min(
+    assert _free_end_gap_costs([ref], [hyp])[0, 0] == min(
         reference_table(ref, hyp, free_start=True)[-1]
     ), (ref, hyp)
 

@@ -291,6 +291,48 @@ def test_run_report_grid_shape_and_bounds():
         assert oracle_row["relative_confusion_error"] == pytest.approx(0.0)
 
 
+def test_run_report_oracle_row_bounds_every_row_on_sweep_sessions():
+    # the sweep benchmark's four sessions at seed 1: 45 short segments of 4
+    # and 6 speakers over a shared 15-word vocabulary.  A greedy search from
+    # the free-end-gap start alone scored above the clustered rows here; the
+    # oracle now starts from the cheapest row, so it bounds every row.
+    def sweep_spec(speakers):
+        return SynthSpec(
+            num_speakers=speakers,
+            dim=8,
+            min_angle_deg=50.0,
+            buckets=(
+                DurationBucket(18, 8.0, 15.0, 0.05),
+                DurationBucket(27, 0.5, 1.9, 0.5),
+            ),
+            words_per_segment=(2, 4),
+            corruption=0.3,
+            confusion=0.3,
+            noise_correlation=0.9,
+            shared_vocabulary=True,
+            vocab_size=15,
+        )
+
+    generated = [
+        generate_session(sweep_spec(k), session_seed(1, i), session_id=f"sweep{i}")
+        for i, k in enumerate((4, 6, 4, 6))
+    ]
+    alphas, betas = parse_sweep("step:0,0.1,0.25,1;poly:1,2,4,8,16")
+    rows = run_report(
+        [session for session, _, _ in generated],
+        [reference for _, reference, _ in generated],
+        alphas,
+        betas,
+        seed=1,
+    )
+    oracle_row = rows[-1]
+    assert oracle_row["algorithm"] == "oracle" and len(rows) == 13
+    for row in rows[:-1]:
+        assert oracle_row["pooled_cpwer"] <= row["pooled_cpwer"], row
+        assert oracle_row["macro_cpwer"] <= row["macro_cpwer"], row
+        assert row["relative_confusion_error"] >= 0
+
+
 def test_run_report_requires_references():
     spec = SynthSpec(
         num_speakers=2,
