@@ -2,21 +2,26 @@
 
 Every word alignment in the package, here and in the oracle, runs on one
 kernel: Myers' bit-parallel Levenshtein recurrence in Hyyrö's formulation
-(Myers 1999; Hyyrö 2001), with the DP column held in two Python ints.
-``edit_distance`` keeps the per-column deltas of one forward pass and walks
-back through them to split the errors into substitutions, deletions and
-insertions.
+(Myers 1999; Hyyrö 2001), with the DP column held in two Python ints.  The
+ints can hold several patterns, one lane each with a zero guard bit between
+lanes (Hyyrö, Fredriksson & Navarro 2006), so the cpWER cost matrix takes one
+kernel pass per hypothesis stream, and each lane's score is read from the
+popcounts of its vertical deltas when the pass ends.
 
 For cpWER, the words of each speaker are concatenated on both sides, the
 smaller side is padded with empty dummy speakers, and the speaker pairing
 that minimizes the total word errors is found with the Hungarian algorithm.
-A brute-force permutation search is provided as an independent check.
+A brute-force permutation search is provided as an independent check.  The
+split of the errors into substitutions, deletions and insertions is computed
+only when a report's ``pairs`` is first read: ``edit_distance`` keeps the
+per-column deltas of one forward pass and walks back through them.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -49,20 +54,58 @@ class EditCounts:
         )
 
 
-@dataclass(frozen=True)
-class CpWerReport:
-    """cpWER value, its error breakdown, and the minimizing speaker mapping.
+# (reference speaker, hypothesis speaker, reference words, hypothesis words)
+_Aligned = tuple[str | None, str | None, tuple[str, ...], tuple[str, ...]]
 
-    ``pairs`` holds (reference speaker, hypothesis speaker, counts) per
-    scored pair; a ``None`` side marks a padded dummy.  ``mapping`` is
-    hypothesis speaker -> reference speaker (``None`` when unmatched).
+
+@dataclass(frozen=True, init=False)
+class CpWerReport:
+    """cpWER value, the minimizing speaker mapping, and its error breakdown.
+
+    ``mapping`` is hypothesis speaker -> reference speaker (``None`` when
+    unmatched).  ``streams`` holds (reference speaker, hypothesis speaker,
+    reference words, hypothesis words) per scored pair; a ``None`` speaker
+    marks a padded dummy.  ``pairs`` holds (reference speaker, hypothesis
+    speaker, counts) per scored pair: unless given to the constructor, it is
+    aligned from ``streams`` when first read, and its counts must add up to
+    ``errors``.
     """
 
-    pairs: tuple[tuple[str | None, str | None, EditCounts], ...]
     errors: int
     ref_words: int
     cpwer: float
     mapping: dict[str, str | None]
+    streams: tuple[_Aligned, ...] = field(repr=False)
+
+    def __init__(
+        self,
+        *,
+        errors: int,
+        ref_words: int,
+        cpwer: float,
+        mapping: dict[str, str | None],
+        pairs: Iterable[tuple[str | None, str | None, EditCounts]] | None = None,
+        streams: Iterable[_Aligned] = (),
+    ) -> None:
+        # frozen: fill the instance dict directly, as the generated __init__ would
+        self.__dict__.update(
+            errors=errors,
+            ref_words=ref_words,
+            cpwer=cpwer,
+            mapping=mapping,
+            streams=tuple(streams),
+        )
+        if pairs is not None:
+            self.__dict__["pairs"] = tuple(pairs)
+
+    @functools.cached_property
+    def pairs(self) -> tuple[tuple[str | None, str | None, EditCounts], ...]:
+        pairs = tuple(
+            (ref_label, hyp_label, edit_distance(ref, hyp))
+            for ref_label, hyp_label, ref, hyp in self.streams
+        )
+        assert sum(counts.total for _, _, counts in pairs) == self.errors
+        return pairs
 
 
 class _Column(NamedTuple):
@@ -78,12 +121,62 @@ class _Column(NamedTuple):
     score: int
 
 
+def _packed_masks(patterns: Iterable[Sequence[str]]) -> tuple[dict[str, int], list[int]]:
+    """Match masks of several patterns packed into one bit vector, and each one's lane.
+
+    Pattern ``r`` takes the bits of ``lanes[r]``, lowest bit for its first
+    token, and one zero guard bit above them: bit ``i`` of ``masks[token]`` is
+    set where the packed patterns hold ``token``.
+    """
+    masks: dict[str, int] = {}
+    lanes = []
+    offset = 0
+    for pattern in patterns:
+        for i, token in enumerate(pattern, offset):
+            masks[token] = masks.get(token, 0) | (1 << i)
+        lanes.append(((1 << len(pattern)) - 1) << offset)
+        offset += len(pattern) + 1
+    return masks, lanes
+
+
 def _match_masks(pattern: Sequence[str]) -> dict[str, int]:
     """Bit ``i`` of ``masks[token]`` is set where ``pattern[i] == token``."""
-    masks: dict[str, int] = {}
-    for i, token in enumerate(pattern):
-        masks[token] = masks.get(token, 0) | (1 << i)
-    return masks
+    return _packed_masks([pattern])[0]
+
+
+def _myers(
+    masks: Mapping[str, int],
+    full: int,
+    bottoms: int,
+    words: Iterable[str],
+    pv: int,
+    mv: int,
+    columns: list[tuple[int, int, int, int]] | None = None,
+) -> tuple[int, int]:
+    """Step the vertical deltas ``pv``/``mv`` of packed patterns over ``words``.
+
+    Myers' recurrence (Myers 1999) in Hyyrö's formulation (Hyyrö 2001), on
+    every lane at once (Hyyrö, Fredriksson & Navarro 2006).  ``full`` has the
+    bits of every lane and ``bottoms`` the lowest bit of each non-empty one,
+    where row 0 grows by one per word.  The addition's carry out of a lane
+    stops at its guard bit, which ``full`` clears, so lanes never interact.
+    ``columns``, when given, receives ``(pv, mv, ph, mh)`` per word, where bit
+    ``i`` of ``ph`` (``mh``) marks a +1 (-1) step from the previous column at
+    row ``i``.
+    """
+    get = masks.get
+    for word in words:
+        eq = get(word, 0)
+        xv = eq | mv
+        xh = (((eq & pv) + pv) ^ pv) | eq
+        # masked only to stay non-negative: big-int ops on negatives are slower
+        ph = ((mv | (full & ~(xh | pv))) << 1) | bottoms
+        mh = (pv & xh) << 1
+        pv = (mh | ~(xv | ph)) & full
+        mv = ph & xv
+        if columns is not None:
+            columns.append((pv, mv, ph, mh))
+    return pv, mv
 
 
 def _advance(
@@ -94,35 +187,22 @@ def _advance(
     *,
     columns: list[tuple[int, int, int, int]] | None = None,
 ) -> _Column:
-    """Consume ``words`` as text against a length-``m`` pattern (Myers 1999; Hyyrö 2001).
+    """Consume ``words`` as text against a length-``m`` pattern, one lane of ``_myers``.
 
     The whole DP column is held in two Python ints, so one word costs a
     constant number of big-int operations.  ``start`` defaults to the empty
-    text (row ``i`` holds ``i``); row 0 grows by one per consumed word.
-    ``columns``, when given, receives ``(pv, mv, ph, mh)`` per word, where bit
-    ``i`` of ``ph`` (``mh``) marks a +1 (-1) step from the previous column at
-    row ``i``.
+    text (row ``i`` holds ``i``).  Row 0 grows by one per consumed word, and
+    the score is row 0 plus the popcount difference of the vertical deltas.
     """
+    words = tuple(words)
     full = (1 << m) - 1
-    pv, mv, score = (full, 0, m) if start is None else start
-    last_row = 1 << m
-    get = masks.get
-    for word in words:
-        eq = get(word, 0)
-        xv = eq | mv
-        xh = (((eq & pv) + pv) ^ pv) | eq
-        # masked only to stay non-negative: big-int ops on negatives are slower
-        ph = ((mv | (full & ~(xh | pv))) << 1) | 1
-        mh = (pv & xh) << 1
-        if ph & last_row:
-            score += 1
-        elif mh & last_row:
-            score -= 1
-        pv = (mh | ~(xv | ph)) & full
-        mv = ph & xv
-        if columns is not None:
-            columns.append((pv, mv, ph, mh))
-    return _Column(pv, mv, score)
+    if start is None:
+        pv, mv, top = full, 0, 0
+    else:
+        pv, mv, score = start
+        top = score - pv.bit_count() + mv.bit_count()
+    pv, mv = _myers(masks, full, 1, words, pv, mv, columns)
+    return _Column(pv, mv, top + len(words) + pv.bit_count() - mv.bit_count())
 
 
 def _column_min(column: _Column, m: int, top: int) -> int:
@@ -253,17 +333,28 @@ def _speaker_streams(
 def _padded_cost_matrix(
     ref_map: dict[str, tuple[str, ...]], hyp_map: dict[str, tuple[str, ...]]
 ) -> tuple[list[str | None], list[str | None], list[tuple[str, ...]], list[tuple[str, ...]], np.ndarray]:
-    """Pad the smaller side with empty dummy speakers and fill the cost matrix."""
+    """Pad the smaller side with empty dummy speakers and fill the cost matrix.
+
+    Cost ``[i, j]`` is the distance of reference stream ``i`` to hypothesis
+    stream ``j``: the hypothesis length (row 0 of every lane) plus the
+    popcount difference of lane ``i``'s vertical deltas.
+    """
     size = max(len(ref_map), len(hyp_map))
     ref_labels: list[str | None] = list(ref_map) + [None] * (size - len(ref_map))
     hyp_labels: list[str | None] = list(hyp_map) + [None] * (size - len(hyp_map))
     ref_streams = [ref_map.get(l, ()) if l is not None else () for l in ref_labels]
     hyp_streams = [hyp_map.get(l, ()) if l is not None else () for l in hyp_labels]
-    cost = np.zeros((size, size), dtype=np.int64)
-    for i, ref in enumerate(ref_streams):
-        masks = _match_masks(ref)
-        for j, hyp in enumerate(hyp_streams):
-            cost[i, j] = _advance(masks, len(ref), hyp).score
+    # each reference in a lane of its own: one kernel pass per hypothesis stream
+    masks, lanes = _packed_masks(ref_streams)
+    full = sum(lanes)
+    bottoms = sum(lane & -lane for lane in lanes)
+    cost = np.empty((size, size), dtype=np.int64)
+    for j, hyp in enumerate(hyp_streams):
+        pv, mv = _myers(masks, full, bottoms, hyp, full, 0)
+        cost[:, j] = [
+            len(hyp) + (pv & lane).bit_count() - (mv & lane).bit_count()
+            for lane in lanes
+        ]
     return ref_labels, hyp_labels, ref_streams, hyp_streams, cost
 
 
@@ -276,23 +367,21 @@ def _report_from_pairing(
     total_errors: int,
     ref_words: int,
 ) -> CpWerReport:
-    pairs = []
+    streams = []
     mapping: dict[str, str | None] = {}
     for i, j in pairing:
         ref_label, hyp_label = ref_labels[i], hyp_labels[j]
         if ref_label is None and hyp_label is None:
             continue
-        counts = edit_distance(ref_streams[i], hyp_streams[j])
-        pairs.append((ref_label, hyp_label, counts))
+        streams.append((ref_label, hyp_label, ref_streams[i], hyp_streams[j]))
         if hyp_label is not None:
             mapping[hyp_label] = ref_label
-    assert sum(c.total for _, _, c in pairs) == total_errors
     return CpWerReport(
-        pairs=tuple(pairs),
         errors=total_errors,
         ref_words=ref_words,
         cpwer=total_errors / ref_words,
         mapping=mapping,
+        streams=streams,
     )
 
 

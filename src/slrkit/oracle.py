@@ -245,20 +245,24 @@ def _greedy_search(
     segments: list[tuple[str, ...]],
     refs: list[tuple[str, ...]],
     start: Sequence[int | None] | None = None,
+    start_cost: int | None = None,
 ) -> tuple[int, list[int]]:
     """Descent on the diagonal objective from the cheaper of two labelings.
 
     One is the free-end-gap start: each segment at the reference it matches
     best (first on ties), its S x k costs decoded in batches.  The other is
     ``start``, a reference index per segment, where a ``None`` takes the
-    free-end-gap choice.  The descent runs once, from ``start`` only if its
-    diagonal cost is strictly lower; it never raises the cost, so the result
-    costs at most as much as either.
+    free-end-gap choice; ``start_cost``, when the caller knows it, is its
+    diagonal cost, and is computed otherwise.  The descent runs once, from
+    ``start`` only if its diagonal cost is strictly lower; it never raises
+    the cost, so the result costs at most as much as either.
     """
     labels = _free_end_gap_costs(segments, refs).argmin(axis=1).tolist()
     if start is not None:
         mapped = [free if s is None else s for s, free in zip(start, labels)]
-        if _diagonal_cost(segments, refs, mapped) < _diagonal_cost(segments, refs, labels):
+        if start_cost is None:
+            start_cost = _diagonal_cost(segments, refs, mapped)
+        if start_cost < _diagonal_cost(segments, refs, labels):
             labels = mapped
     return _descend(segments, refs, labels)
 
@@ -284,7 +288,8 @@ def oracle_assignment(
     speaker taking its free-end-gap choice, and descends from it when that is
     cheaper than the free-end-gap start.  A mapped labeling's diagonal cost
     is at most its cpWER errors, so the greedy result scores no worse than
-    any start.  If the cpWER pairing of the result is cheaper than the
+    any start; when every segment maps, the cost is those errors and is not
+    aligned again.  If the cpWER pairing of the result is cheaper than the
     identity, the search relabels through it and descends again.
     """
     if mode not in ("exact", "greedy"):
@@ -327,8 +332,14 @@ def oracle_assignment(
             )
         cost, ordered_labels = _exact_search(segments, refs)
     else:
-        start = mapped(*min(starts, key=lambda s: s[1].errors)) if starts else None
-        cost, ordered_labels = _greedy_search(segments, refs, start)
+        start = start_cost = None
+        if starts:
+            speakers, report = min(starts, key=lambda s: s[1].errors)
+            start = mapped(speakers, report)
+            if None not in start:
+                # each reference's stream is that of the speaker paired with it
+                start_cost = report.errors
+        cost, ordered_labels = _greedy_search(segments, refs, start, start_cost)
 
     assignment, report = scored(ordered_labels)
     while report.errors < cost:

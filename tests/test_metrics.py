@@ -13,9 +13,13 @@ from hypothesis import strategies as st
 from slrkit.corpus import LabelAssignment, ReferenceTranscript, Segment, SessionHypothesis
 from slrkit.metrics import (
     _SUFFIX_SENTINEL,
+    CpWerReport,
+    EditCounts,
+    _Column,
     _advance,
     _column_values,
     _match_masks,
+    _padded_cost_matrix,
     brute_force_cpwer,
     cpwer,
     cpwer_from_segments,
@@ -171,6 +175,45 @@ def test_prefix_and_suffix_values_split_the_distance(inputs):
         prefix = prefix_values(patterns, text[:split])
         suffix = suffix_values(patterns, text[split:])
         assert (prefix + suffix).min(axis=1).tolist() == whole
+
+
+def final_column(pattern, text, first):
+    """Last DP column over pattern rows 0..m after ``text``, from column ``first``.
+
+    Row 0 grows by one per word, as in the kernel.
+    """
+    column = list(first)
+    for word in text:
+        step = [column[0] + 1]
+        for i, token in enumerate(pattern, 1):
+            step.append(
+                min(column[i - 1] + (token != word), column[i] + 1, step[i - 1] + 1)
+            )
+        column = step
+    return column
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(patterns_and_text())
+def test_kernel_score_matches_plain_table_from_each_start(inputs):
+    # the score is read from popcounts at exit, so check it from the default
+    # start, from a column carried over half the text, and from the all-zero
+    # free-start column
+    patterns, text = inputs
+    half = len(text) // 2
+    for pattern in patterns:
+        m, masks = len(pattern), _match_masks(pattern)
+        expected = final_column(pattern, text, range(m + 1))
+        assert _advance(masks, m, text).score == expected[-1]
+        carried = _advance(masks, m, text[:half])
+        assert carried.score == final_column(pattern, text[:half], range(m + 1))[-1]
+        assert _advance(masks, m, text[half:], carried).score == expected[-1]
+        free = final_column(pattern, text, [0] * (m + 1))
+        column = _advance(masks, m, text, _Column(0, 0, 0))
+        assert column.score == free[-1]
+        values = _column_values([column], [m], m)[0]
+        assert values.tolist() == free
+        assert values.min() == min(free)
 
 
 def test_edit_distance_equal_sequences():
@@ -354,6 +397,85 @@ def test_cpwer_invariant_under_hypothesis_relabeling(ref, hyp, data):
 def test_hungarian_equals_brute_force_property(ref, hyp):
     assume(any(ref.values()))
     assert cpwer(ref, hyp).errors == brute_force_cpwer(ref, hyp).errors
+
+
+@st.composite
+def speaker_maps(draw):
+    """Reference and hypothesis maps of 1-6 speakers each over a 1-3 word vocabulary.
+
+    Streams hold 0-200 words, so packed lanes straddle 64-bit boundaries.
+    """
+    vocab = "abc"[: draw(st.integers(1, 3))]
+
+    def streams(prefix):
+        count = draw(st.integers(1, 6))
+        lengths = [
+            draw(st.sampled_from((0, 1, 5, 63, 64, 65, 130, 200))) for _ in range(count)
+        ]
+        return {
+            f"{prefix}{i}": tuple(
+                draw(st.lists(st.sampled_from(vocab), min_size=n, max_size=n))
+            )
+            for i, n in enumerate(lengths)
+        }
+
+    return streams("r"), streams("h")
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(speaker_maps())
+def test_packed_cost_matrix_matches_pairwise_distances(maps):
+    ref, hyp = maps
+    _, _, ref_streams, hyp_streams, cost = _padded_cost_matrix(ref, hyp)
+    assert cost.shape == (max(len(ref), len(hyp)),) * 2
+    for i, ref_words in enumerate(ref_streams):
+        for j, hyp_words in enumerate(hyp_streams):
+            assert cost[i, j] == token_distance(ref_words, hyp_words), (i, j)
+    assume(any(ref.values()))
+    assert cpwer(ref, hyp).errors == brute_force_cpwer(ref, hyp).errors
+
+
+def eager_pairs(ref, hyp, report):
+    """Breakdown of ``report``'s pairing, aligned here from its mapping."""
+    pairs = {
+        (r, h): edit_distance(ref[r] if r else (), hyp[h])
+        for h, r in report.mapping.items()
+    }
+    paired = set(report.mapping.values())
+    pairs.update({(r, None): edit_distance(ref[r], ()) for r in ref if r not in paired})
+    return pairs
+
+
+def test_lazy_breakdown_equals_eager_breakdown():
+    rng = np.random.default_rng(5)
+    vocab = [f"w{i}" for i in range(4)]
+    for _ in range(100):
+        ref = {
+            f"r{i}": tuple(rng.choice(vocab, size=rng.integers(1, 30)))
+            for i in range(int(rng.integers(1, 5)))
+        }
+        hyp = {
+            f"h{i}": tuple(rng.choice(vocab, size=rng.integers(0, 30)))
+            for i in range(int(rng.integers(1, 5)))
+        }
+        for score in (cpwer, brute_force_cpwer):
+            report = score(ref, hyp)
+            assert "pairs" not in vars(report)  # not aligned until read
+            pairs = {(r, h): counts for r, h, counts in report.pairs}
+            assert pairs == eager_pairs(ref, hyp, report)
+            assert sum(c.total for c in pairs.values()) == report.errors
+
+
+def test_lazy_breakdown_checks_errors_on_first_read():
+    streams = [("A", "1", toks("a b"), toks("a c"))]
+    report = CpWerReport(
+        errors=2, ref_words=2, cpwer=1.0, mapping={"1": "A"}, streams=streams
+    )
+    with pytest.raises(AssertionError):
+        report.pairs
+    given = ((None, None, EditCounts(0, 0, 0, 0)),)
+    report = CpWerReport(pairs=given, errors=0, ref_words=1, cpwer=0.0, mapping={})
+    assert report.pairs == given
 
 
 def test_brute_force_rejects_large_matrices():

@@ -582,3 +582,69 @@ def test_greedy_decode_blocks_bound_memory_not_results(monkeypatch):
     blocks = 4 * 8 * oracle.DECODE_BLOCK + (1 << 20)
     assert setup_peak < blocks
     assert peak < 3 * (len(segments) + k) * (width + 1) * 8 + blocks
+
+
+def workload_sessions(name, speakers, segments, sigmas, **spec):
+    """Sessions of the benchmark workload ``name`` at seed 1, one per speaker count.
+
+    40 % of the segments are long (8-15 s), the rest short (0.5-1.9 s);
+    ``sigmas`` are their embedding noise.
+    """
+    long_count = round(0.4 * segments)
+    buckets = (
+        DurationBucket(long_count, 8.0, 15.0, sigmas[0]),
+        DurationBucket(segments - long_count, 0.5, 1.9, sigmas[1]),
+    )
+    return [
+        generate_session(
+            SynthSpec(
+                num_speakers=k,
+                buckets=buckets,
+                confusion=0.3,
+                noise_correlation=0.9,
+                shared_vocabulary=True,
+                **spec,
+            ),
+            session_seed(1, i),
+            session_id=f"{name}{i}",
+        )
+        for i, k in enumerate(speakers)
+    ]
+
+
+def test_greedy_start_cost_from_report_is_its_diagonal_cost(monkeypatch):
+    # when every segment of the cheapest start maps to a reference speaker,
+    # the oracle passes that start's cpWER errors as its diagonal cost
+    # instead of aligning it again; they must be equal
+    from slrkit.affinity import AttenuationConfig
+    from slrkit.pipeline import PipelineConfig, reassign, run_report
+
+    passed = []
+    search = oracle._greedy_search
+
+    def spy(segments, refs, start=None, start_cost=None):
+        if start_cost is not None:
+            assert None not in start
+            passed.append((start_cost, oracle._diagonal_cost(segments, refs, start)))
+        return search(segments, refs, start, start_cost)
+
+    monkeypatch.setattr(oracle, "_greedy_search", spy)
+    evaluate = workload_sessions(
+        "evaluate", (4,), 40, (0.3, 1.0),
+        dim=192, words_per_segment=(90, 110), corruption=0.1, vocab_size=300,
+    )
+    cfg = PipelineConfig(attenuation=AttenuationConfig(mode="stepwise", alpha=0.25))
+    for session, ref, _ in evaluate:
+        reassign(session, ref, cfg, seed=session_seed(1, 0))
+    sweep = workload_sessions(
+        "sweep", (4, 6, 4, 6), 45, (0.05, 0.5),
+        dim=8, min_angle_deg=50.0, words_per_segment=(2, 4), corruption=0.3,
+        vocab_size=15,
+    )
+    run_report(
+        [s for s, _, _ in sweep], [r for _, r, _ in sweep],
+        (0.0, 0.1, 0.25, 1.0), (1.0, 2.0, 4.0, 8.0, 16.0), 1,
+    )
+    # every one of the five oracle calls starts from a fully mapped labeling
+    assert len(passed) == 5
+    assert all(given == diagonal for given, diagonal in passed), passed
