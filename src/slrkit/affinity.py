@@ -19,7 +19,8 @@ ATTENUATION_MODES = ("none", "stepwise", "polynomial")
 # factor 1 at >= 8 s, then alpha^1, alpha^2, alpha^3, alpha^4 below 8/4/2/1 s.
 STEP_BREAKPOINTS = (8.0, 4.0, 2.0, 1.0)
 
-DEFAULT_KNEE_SECONDS = 8.0
+# Polynomial attenuation knee in seconds: factor 1 at longer durations.
+POLY_KNEE_SECONDS = 8.0
 
 
 @dataclass(frozen=True)
@@ -27,14 +28,13 @@ class AttenuationConfig:
     """Attenuation mode and its single hyperparameter.
 
     ``alpha`` applies in step-wise mode (0 <= alpha <= 1), ``beta`` in
-    polynomial mode (beta >= 0).  ``knee`` is the polynomial saturation
-    duration; the step-wise breakpoints are fixed constants.
+    polynomial mode (beta >= 0).  The step-wise breakpoints and the
+    polynomial knee are fixed constants.
     """
 
     mode: str = "none"
     alpha: float = 1.0
     beta: float = 0.0
-    knee: float = DEFAULT_KNEE_SECONDS
 
     def __post_init__(self):
         if self.mode not in ATTENUATION_MODES:
@@ -45,17 +45,6 @@ class AttenuationConfig:
             raise ValueError(f"alpha must be in [0, 1], got {self.alpha}")
         if not self.beta >= 0.0:
             raise ValueError(f"beta must be >= 0, got {self.beta}")
-        if not self.knee > 0.0:
-            raise ValueError(f"knee must be > 0, got {self.knee}")
-
-    @property
-    def is_identity(self) -> bool:
-        """True when the factor is 1 for every duration pair."""
-        return (
-            self.mode == "none"
-            or (self.mode == "stepwise" and self.alpha == 1.0)
-            or (self.mode == "polynomial" and self.beta == 0.0)
-        )
 
 
 def cosine_affinity(embeddings) -> np.ndarray:
@@ -91,7 +80,9 @@ def _factors(longer: np.ndarray, cfg: AttenuationConfig) -> np.ndarray:
             default=a**4,
         )
     # polynomial: (max / knee) ** beta below the knee, 1 above
-    return np.where(longer > cfg.knee, 1.0, (longer / cfg.knee) ** cfg.beta)
+    return np.where(
+        longer > POLY_KNEE_SECONDS, 1.0, (longer / POLY_KNEE_SECONDS) ** cfg.beta
+    )
 
 
 def attenuation_factor(t_i: float, t_j: float, cfg: AttenuationConfig) -> float:

@@ -99,18 +99,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_reference_map(path: str) -> dict[str, corpus.ReferenceTranscript]:
-    return {ref.session_id: ref for ref in corpus.parse_reference(path)}
-
-
-def _require_reference(
-    refs: dict[str, corpus.ReferenceTranscript], session_id: str
-) -> corpus.ReferenceTranscript:
-    if session_id not in refs:
-        raise ValueError(f"no reference for session {session_id!r}")
-    return refs[session_id]
-
-
 def _score_line(session_id: str, report: metrics.CpWerReport) -> str:
     return json.dumps(
         {
@@ -124,6 +112,8 @@ def _score_line(session_id: str, report: metrics.CpWerReport) -> str:
 
 
 def _cmd_reassign(args) -> int:
+    if args.report and not args.reference:
+        raise UsageError("--report needs --reference: without it nothing is scored")
     sessions = corpus.parse_segments(args.segments)
     cfg = PipelineConfig(
         algorithm=args.algorithm,
@@ -131,12 +121,15 @@ def _cmd_reassign(args) -> int:
         seed=args.seed,
         num_speakers=parse_num_speakers(args.num_speakers),
     )
-    refs = _load_reference_map(args.reference) if args.reference else None
+    refs = None
+    if args.reference:
+        references = corpus.parse_reference(args.reference)
+        refs = pipeline.references_by_session(sessions, references)
 
     out_lines: list[str] = []
     report_lines: list[str] = []
     for index, session in enumerate(sessions):
-        reference = _require_reference(refs, session.session_id) if refs else None
+        reference = refs[session.session_id] if refs is not None else None
         assignment, report = pipeline.reassign(
             session, reference, cfg, seed=pipeline.session_seed(args.seed, index)
         )
@@ -195,11 +188,12 @@ def _cmd_cpwer(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
-    refs = _load_reference_map(args.reference)
+    references = corpus.parse_reference(args.reference)
     sessions = corpus.parse_segments(args.segments)
+    refs = pipeline.references_by_session(sessions, references)
     out_lines = []
     for session in sessions:
-        reference = _require_reference(refs, session.session_id)
+        reference = refs[session.session_id]
         assignment, report = oracle_assignment(session, reference, args.mode)
         buf = io.StringIO()
         corpus.write_assignment(

@@ -13,7 +13,7 @@ import io
 import json
 import re
 import struct
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -252,25 +252,20 @@ def write_embeddings_sidecar(path: str | Path, embeddings: np.ndarray) -> None:
 _SEGMENT_KEYS = ("session_id", "segment_id", "start", "end", "speaker", "words")
 
 
-def parse_segments(
-    stream,
-    *,
-    num_speakers: int | Mapping[str, int] | None = None,
-    sidecar_dir: str | Path | None = None,
-) -> list[SessionHypothesis]:
+def parse_segments(stream) -> list[SessionHypothesis]:
     """Parse line-delimited segment records into sessions.
 
-    Segments are grouped by ``session_id`` in file order.  The speaker count
-    defaults to the number of distinct initial labels per session;
-    ``num_speakers`` overrides it globally (int) or per session (mapping).
+    Segments are grouped by ``session_id`` in file order.  A session's
+    speaker count is the number of its distinct initial labels.  Sidecar
+    files named by ``embedding_ref`` resolve relative to the segments file
+    when ``stream`` is a path, and to the working directory otherwise.
 
     Raises ``ValueError`` with the offending line number for malformed
     records, segment ids repeated within a session, inconsistent embedding
     dimensions, zero-norm embeddings, and non-positive durations.
     """
-    if sidecar_dir is None and isinstance(stream, (str, Path)):
-        sidecar_dir = Path(stream).parent
-    sidecars = _SidecarCache(Path(sidecar_dir) if sidecar_dir is not None else Path("."))
+    base_dir = Path(stream).parent if isinstance(stream, (str, Path)) else Path(".")
+    sidecars = _SidecarCache(base_dir)
 
     by_session: dict[str, list[Segment]] = {}
     seen: dict[tuple[str, str], int] = {}
@@ -312,22 +307,22 @@ def parse_segments(
                 f"session {session_id!r}: inconsistent embedding dimensions "
                 f"{sorted(dims)}"
             )
-        if isinstance(num_speakers, Mapping):
-            k = num_speakers.get(session_id)
-        else:
-            k = num_speakers
-        if k is None:
-            k = len({seg.initial_speaker for seg in segments})
         sessions.append(
             SessionHypothesis(
-                session_id=session_id, segments=tuple(segments), num_speakers=int(k)
+                session_id=session_id,
+                segments=tuple(segments),
+                num_speakers=len({seg.initial_speaker for seg in segments}),
             )
         )
     return sessions
 
 
-def parse_reference(stream, *, allow_empty: bool = False) -> list[ReferenceTranscript]:
-    """Parse line-delimited reference records, concatenating per (session, speaker)."""
+def parse_reference(stream) -> list[ReferenceTranscript]:
+    """Parse line-delimited reference records, concatenating per (session, speaker).
+
+    Raises ``ValueError`` naming the session when a reference speaker ends
+    up with no words.
+    """
     per_session: dict[str, dict[str, tuple[str, ...]]] = {}
     for lineno, record in _iter_json_lines(stream):
         missing = [k for k in ("session_id", "speaker", "words") if k not in record]
@@ -341,13 +336,11 @@ def parse_reference(stream, *, allow_empty: bool = False) -> list[ReferenceTrans
 
     transcripts = []
     for session_id, speakers in per_session.items():
-        if not allow_empty:
-            empty = [spk for spk, words in speakers.items() if not words]
-            if empty:
-                raise ValueError(
-                    f"session {session_id!r}: reference speakers {empty} have no "
-                    f"words (pass allow_empty=True to accept)"
-                )
+        empty = [spk for spk, words in speakers.items() if not words]
+        if empty:
+            raise ValueError(
+                f"session {session_id!r}: reference speakers {empty} have no words"
+            )
         transcripts.append(
             ReferenceTranscript(session_id=session_id, per_speaker=dict(speakers))
         )
@@ -373,11 +366,7 @@ def _write_lines(sink, lines: Iterable[str]) -> None:
             _write_lines(fh, lines)
         return
     for line in lines:
-        data = line + "\n"
-        try:
-            sink.write(data)
-        except TypeError:
-            sink.write(data.encode("utf-8"))
+        sink.write(line + "\n")
 
 
 def write_segments(session: SessionHypothesis, sink) -> None:
@@ -433,19 +422,4 @@ def write_reference(reference: ReferenceTranscript, sink) -> None:
             )
             for speaker, words in reference.per_speaker.items()
         ),
-    )
-
-
-def relabel(session: SessionHypothesis, speakers: Sequence[str]) -> SessionHypothesis:
-    """Return a copy of ``session`` with ``initial_speaker`` replaced per segment."""
-    if len(speakers) != len(session.segments):
-        raise ValueError("one speaker name per segment required")
-    segments = tuple(
-        replace(seg, initial_speaker=spk)
-        for seg, spk in zip(session.segments, speakers)
-    )
-    return SessionHypothesis(
-        session_id=session.session_id,
-        segments=segments,
-        num_speakers=session.num_speakers,
     )

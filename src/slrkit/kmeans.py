@@ -41,14 +41,12 @@ def _assign(X: np.ndarray, centers: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     labels = np.argmin(d2, axis=1)
     return labels, d2[np.arange(X.shape[0]), labels]
 
-def _lloyd(
-    X: np.ndarray, centers: np.ndarray, max_iter: int = LLOYD_MAX_ITER
-) -> tuple[np.ndarray, list[float]]:
+def _lloyd(X: np.ndarray, centers: np.ndarray) -> tuple[np.ndarray, list[float]]:
     """Lloyd iterations to an assignment fixpoint; returns labels and cost history."""
     k = centers.shape[0]
     labels, dist2 = _assign(X, centers)
     costs = [float(dist2.sum())]
-    for _ in range(max_iter):
+    for _ in range(LLOYD_MAX_ITER):
         centers = centers.copy()
         empty = []
         for j in range(k):
@@ -70,11 +68,11 @@ def _lloyd(
     return labels, costs
 
 
-def kmeans_pp(vectors, k: int, seed, *, restarts: int = 1) -> np.ndarray:
+def kmeans_pp(vectors, k: int, seed) -> np.ndarray:
     """Cluster rows into ``k`` groups with k-means++ seeding and Lloyd refinement.
 
-    Deterministic per seed.  ``restarts`` > 1 runs independent seedings and
-    keeps the lowest-cost result (first wins ties).
+    One seeding per call, then Lloyd iterations to an assignment fixpoint
+    (at most ``LLOYD_MAX_ITER``).  Deterministic per seed.
     """
     X = np.asarray(vectors, dtype=np.float64)
     if X.ndim != 2:
@@ -82,16 +80,6 @@ def kmeans_pp(vectors, k: int, seed, *, restarts: int = 1) -> np.ndarray:
     n = X.shape[0]
     if not 1 <= k <= n:
         raise ValueError(f"cluster count {k} invalid for {n} points")
-    if restarts < 1:
-        raise ValueError("restarts must be >= 1")
-
-    rng = np.random.default_rng(seed)
-    best_labels = None
-    best_cost = np.inf
-    for _ in range(restarts):
-        centers = _seed_centers(X, k, rng)
-        labels, costs = _lloyd(X, centers)
-        if costs[-1] < best_cost:
-            best_cost = costs[-1]
-            best_labels = labels
-    return best_labels.astype(np.int64)
+    centers = _seed_centers(X, k, np.random.default_rng(seed))
+    labels, _ = _lloyd(X, centers)
+    return labels.astype(np.int64)

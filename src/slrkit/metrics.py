@@ -45,20 +45,12 @@ class EditCounts:
     def total(self) -> int:
         return self.substitutions + self.deletions + self.insertions
 
-    def __add__(self, other: "EditCounts") -> "EditCounts":
-        return EditCounts(
-            self.substitutions + other.substitutions,
-            self.deletions + other.deletions,
-            self.insertions + other.insertions,
-            self.ref_len + other.ref_len,
-        )
-
 
 # (reference speaker, hypothesis speaker, reference words, hypothesis words)
 _Aligned = tuple[str | None, str | None, tuple[str, ...], tuple[str, ...]]
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True)
 class CpWerReport:
     """cpWER value, the minimizing speaker mapping, and its error breakdown.
 
@@ -66,37 +58,15 @@ class CpWerReport:
     unmatched).  ``streams`` holds (reference speaker, hypothesis speaker,
     reference words, hypothesis words) per scored pair; a ``None`` speaker
     marks a padded dummy.  ``pairs`` holds (reference speaker, hypothesis
-    speaker, counts) per scored pair: unless given to the constructor, it is
-    aligned from ``streams`` when first read, and its counts must add up to
-    ``errors``.
+    speaker, counts) per scored pair: it is aligned from ``streams`` when
+    first read, and its counts must add up to ``errors``.
     """
 
     errors: int
     ref_words: int
     cpwer: float
     mapping: dict[str, str | None]
-    streams: tuple[_Aligned, ...] = field(repr=False)
-
-    def __init__(
-        self,
-        *,
-        errors: int,
-        ref_words: int,
-        cpwer: float,
-        mapping: dict[str, str | None],
-        pairs: Iterable[tuple[str | None, str | None, EditCounts]] | None = None,
-        streams: Iterable[_Aligned] = (),
-    ) -> None:
-        # frozen: fill the instance dict directly, as the generated __init__ would
-        self.__dict__.update(
-            errors=errors,
-            ref_words=ref_words,
-            cpwer=cpwer,
-            mapping=mapping,
-            streams=tuple(streams),
-        )
-        if pairs is not None:
-            self.__dict__["pairs"] = tuple(pairs)
+    streams: tuple[_Aligned, ...] = field(default=(), repr=False)
 
     @functools.cached_property
     def pairs(self) -> tuple[tuple[str | None, str | None, EditCounts], ...]:
@@ -381,7 +351,7 @@ def _report_from_pairing(
         ref_words=ref_words,
         cpwer=total_errors / ref_words,
         mapping=mapping,
-        streams=streams,
+        streams=tuple(streams),
     )
 
 

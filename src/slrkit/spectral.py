@@ -89,7 +89,7 @@ def discretize(features: np.ndarray, num_clusters: int, seed) -> np.ndarray:
     if X.ndim != 2:
         raise ValueError("features must be 2-D")
     n, h = X.shape
-    if num_clusters > n:
+    if not 1 <= num_clusters <= n:
         raise ValueError(f"{num_clusters} clusters for {n} rows")
     if h != num_clusters:
         raise ValueError(
@@ -136,10 +136,6 @@ def spectral_cluster(
 ) -> LabelAssignment:
     """Cluster a session's segments: affinity, attenuation, Laplacian, discretize."""
     k = session.num_speakers if num_speakers is None else int(num_speakers)
-    if not 1 <= k <= len(session.segments):
-        raise ValueError(
-            f"cluster count {k} invalid for {len(session.segments)} segments"
-        )
     A = cosine_affinity(session.embeddings())
     A = attenuate(A, session.durations(), cfg)
     L = normalized_laplacian(A)

@@ -160,8 +160,6 @@ def test_config_validation():
         AttenuationConfig(mode="polynomial", beta=-1.0)
     with pytest.raises(ValueError):
         AttenuationConfig(mode="gaussian")
-    with pytest.raises(ValueError):
-        AttenuationConfig(knee=0.0)
 
 
 def test_duration_length_mismatch():

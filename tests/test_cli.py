@@ -152,6 +152,69 @@ def test_oracle_command(synth_corpus, capsys):
     assert speakers <= {"spk0", "spk1", "spk2"}
 
 
+def _synth0_only(synth_corpus):
+    segments = (synth_corpus / "demo.segments.jsonl").read_text().splitlines()
+    hyp = synth_corpus / "synth0_only.jsonl"
+    hyp.write_text(
+        "".join(l + "\n" for l in segments if json.loads(l)["session_id"] == "synth0"),
+        encoding="utf-8",
+    )
+    return hyp
+
+
+def _scoring_argv(command, segments, reference, out_dir):
+    argv = [command, "--segments", str(segments), "--reference", str(reference)]
+    argv += ["--out", str(out_dir / f"{command}.out.jsonl")]
+    if command == "reassign":
+        argv += ["--report", str(out_dir / "report.jsonl")]
+    return argv
+
+
+@pytest.mark.parametrize("command", ["reassign", "oracle"])
+def test_empty_reference_file_names_the_sessions(synth_corpus, capsys, command):
+    empty = synth_corpus / "empty.jsonl"
+    empty.write_text("", encoding="utf-8")
+    argv = _scoring_argv(
+        command, synth_corpus / "demo.segments.jsonl", empty, synth_corpus
+    )
+    assert cli.main(argv) == 1
+    assert "no reference for sessions ['synth0', 'synth1']" in capsys.readouterr().err
+    assert not (synth_corpus / "report.jsonl").exists()
+
+
+@pytest.mark.parametrize("command", ["reassign", "oracle"])
+def test_reference_session_without_hypothesis_rejected(synth_corpus, capsys, command):
+    argv = _scoring_argv(
+        command,
+        _synth0_only(synth_corpus),
+        synth_corpus / "demo.reference.jsonl",
+        synth_corpus,
+    )
+    assert cli.main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "reference sessions ['synth1'] have no hypothesis session" in captured.err
+
+
+def test_reassign_report_without_reference_is_usage_error(synth_corpus, capsys):
+    report_path = synth_corpus / "report.jsonl"
+    rc = cli.main(
+        [
+            "reassign",
+            "--segments",
+            str(synth_corpus / "demo.segments.jsonl"),
+            "--out",
+            str(synth_corpus / "out.jsonl"),
+            "--report",
+            str(report_path),
+        ]
+    )
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "--report" in err and "--reference" in err
+    assert not report_path.exists()
+
+
 def test_report_deterministic_byte_identical(synth_corpus):
     args = [
         "report",

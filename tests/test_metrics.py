@@ -14,7 +14,6 @@ from slrkit.corpus import LabelAssignment, ReferenceTranscript, Segment, Session
 from slrkit.metrics import (
     _SUFFIX_SENTINEL,
     CpWerReport,
-    EditCounts,
     _Column,
     _advance,
     _column_values,
@@ -473,9 +472,6 @@ def test_lazy_breakdown_checks_errors_on_first_read():
     )
     with pytest.raises(AssertionError):
         report.pairs
-    given = ((None, None, EditCounts(0, 0, 0, 0)),)
-    report = CpWerReport(pairs=given, errors=0, ref_words=1, cpwer=0.0, mapping={})
-    assert report.pairs == given
 
 
 def test_brute_force_rejects_large_matrices():

@@ -362,8 +362,8 @@ def test_pooled_and_macro_aggregation():
     from slrkit.metrics import CpWerReport
 
     reports = [
-        CpWerReport(pairs=(), errors=2, ref_words=10, cpwer=0.2, mapping={}),
-        CpWerReport(pairs=(), errors=0, ref_words=30, cpwer=0.0, mapping={}),
+        CpWerReport(errors=2, ref_words=10, cpwer=0.2, mapping={}),
+        CpWerReport(errors=0, ref_words=30, cpwer=0.0, mapping={}),
     ]
     assert pooled_cpwer(reports) == pytest.approx(2 / 40)
     assert macro_cpwer(reports) == pytest.approx(0.1)

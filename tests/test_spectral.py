@@ -292,6 +292,16 @@ def test_discretize_requires_square_feature_count():
         discretize(np.eye(3), 4, seed=0)
 
 
+def test_cluster_count_out_of_range_is_value_error():
+    with pytest.raises(ValueError):
+        discretize(np.zeros((3, 0)), 0, seed=0)
+    session = make_session(np.eye(3), k=2)
+    cfg = AttenuationConfig(mode="none")
+    for k in (0, 4):
+        with pytest.raises(ValueError):
+            spectral_cluster(session, cfg, seed=0, num_speakers=k)
+
+
 def test_spectral_cluster_separates_orthogonal_groups():
     rng = np.random.default_rng(9)
     group_a = np.tile([1.0, 0.0, 0.0, 0.0], (5, 1))
