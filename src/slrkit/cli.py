@@ -111,16 +111,24 @@ def _score_line(session_id: str, report: metrics.CpWerReport) -> str:
     )
 
 
+def _read_segments(path: str) -> list[corpus.SessionHypothesis]:
+    """Sessions of a segments file, which must hold at least one record."""
+    sessions = corpus.parse_segments(path)
+    if not sessions:
+        raise ValueError(f"no segment records in {path}")
+    return sessions
+
+
 def _cmd_reassign(args) -> int:
     if args.report and not args.reference:
         raise UsageError("--report needs --reference: without it nothing is scored")
-    sessions = corpus.parse_segments(args.segments)
     cfg = PipelineConfig(
         algorithm=args.algorithm,
         attenuation=parse_attenuation(args.attenuation),
         seed=args.seed,
         num_speakers=parse_num_speakers(args.num_speakers),
     )
+    sessions = _read_segments(args.segments)
     refs = None
     if args.reference:
         references = corpus.parse_reference(args.reference)
@@ -164,9 +172,7 @@ def _cmd_reassign(args) -> int:
 
 def _cmd_cpwer(args) -> int:
     references = corpus.parse_reference(args.reference)
-    sessions = corpus.parse_segments(args.hyp)
-    if not sessions:
-        raise ValueError("no sessions in hypothesis input")
+    sessions = _read_segments(args.hyp)
     refs = pipeline.references_by_session(sessions, references)
     reports = []
     for session in sessions:
@@ -189,7 +195,7 @@ def _cmd_cpwer(args) -> int:
 
 def _cmd_oracle(args) -> int:
     references = corpus.parse_reference(args.reference)
-    sessions = corpus.parse_segments(args.segments)
+    sessions = _read_segments(args.segments)
     refs = pipeline.references_by_session(sessions, references)
     out_lines = []
     for session in sessions:
@@ -206,9 +212,9 @@ def _cmd_oracle(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    refs = corpus.parse_reference(args.reference)
-    sessions = corpus.parse_segments(args.segments)
     alphas, betas = pipeline.parse_sweep(args.sweep)
+    refs = corpus.parse_reference(args.reference)
+    sessions = _read_segments(args.segments)
     rows = pipeline.run_report(sessions, refs, alphas, betas, args.seed)
     Path(args.out).write_text(
         "".join(json.dumps(row) + "\n" for row in rows), encoding="utf-8"

@@ -261,8 +261,9 @@ def parse_segments(stream) -> list[SessionHypothesis]:
     when ``stream`` is a path, and to the working directory otherwise.
 
     Raises ``ValueError`` with the offending line number for malformed
-    records, segment ids repeated within a session, inconsistent embedding
-    dimensions, zero-norm embeddings, and non-positive durations.
+    records, segment ids repeated within a session, zero-norm embeddings,
+    and non-positive durations, and naming the session for inconsistent
+    embedding dimensions (checked by ``SessionHypothesis``).
     """
     base_dir = Path(stream).parent if isinstance(stream, (str, Path)) else Path(".")
     sidecars = _SidecarCache(base_dir)
@@ -301,12 +302,6 @@ def parse_segments(stream) -> list[SessionHypothesis]:
 
     sessions = []
     for session_id, segments in by_session.items():
-        dims = {seg.embedding.shape[0] for seg in segments}
-        if len(dims) != 1:
-            raise ValueError(
-                f"session {session_id!r}: inconsistent embedding dimensions "
-                f"{sorted(dims)}"
-            )
         sessions.append(
             SessionHypothesis(
                 session_id=session_id,

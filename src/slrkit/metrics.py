@@ -6,15 +6,19 @@ kernel: Myers' bit-parallel Levenshtein recurrence in Hyyrö's formulation
 ints can hold several patterns, one lane each with a zero guard bit between
 lanes (Hyyrö, Fredriksson & Navarro 2006), so the cpWER cost matrix takes one
 kernel pass per hypothesis stream, and each lane's score is read from the
-popcounts of its vertical deltas when the pass ends.
+popcounts of its vertical deltas when the pass ends.  Where every DP value
+of a column is needed, it is decoded in one layout, row 0 first; the values
+of pattern suffixes come from a column run backwards, read back to front.
 
 For cpWER, the words of each speaker are concatenated on both sides, the
 smaller side is padded with empty dummy speakers, and the speaker pairing
 that minimizes the total word errors is found with the Hungarian algorithm.
-A brute-force permutation search is provided as an independent check.  The
-split of the errors into substitutions, deletions and insertions is computed
-only when a report's ``pairs`` is first read: ``edit_distance`` keeps the
-per-column deltas of one forward pass and walks back through them.
+A brute-force permutation search is provided as an independent check of the
+pairing; both pick from the same cost matrix and one function builds the
+report from either.  The split of the errors into substitutions, deletions
+and insertions is computed only when a report's ``pairs`` is first read:
+``edit_distance`` keeps the per-column deltas of one forward pass and walks
+back through them.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
@@ -175,9 +179,9 @@ def _advance(
     return _Column(pv, mv, top + len(words) + pv.bit_count() - mv.bit_count())
 
 
-def _column_min(column: _Column, m: int, top: int) -> int:
-    """Smallest value of a DP column whose row 0 holds ``top``."""
-    value = low = top
+def _column_min(column: _Column, m: int) -> int:
+    """Smallest value of a DP column over pattern rows ``0..m``."""
+    value = low = column.score - column.pv.bit_count() + column.mv.bit_count()
     for i in range(m):
         value += ((column.pv >> i) & 1) - ((column.mv >> i) & 1)
         if value < low:
@@ -185,40 +189,26 @@ def _column_min(column: _Column, m: int, top: int) -> int:
     return low
 
 
-_SUFFIX_SENTINEL = 1 << 40
-
-
 def _column_values(
-    columns: Sequence[_Column],
-    lengths: Sequence[int],
-    width: int,
-    *,
-    suffix: bool = False,
+    columns: Sequence[_Column], lengths: Sequence[int], width: int
 ) -> np.ndarray:
     """DP values of several kernel columns as one ``(len(columns), width + 1)`` array.
 
     Column ``r`` belongs to a pattern of ``lengths[r] <= width`` tokens and
     row ``r`` holds its values at pattern rows ``0..lengths[r]``, then repeats
-    the last one.  With ``suffix`` the columns were run on reversed patterns
-    over reversed text, and each row is read back to front: entry ``j`` is the
-    distance of ``pattern[j:]`` and entries past ``lengths[r]`` hold a large
-    sentinel.  A prefix row plus a suffix row, minimized, is then the
+    the last one, anchored at the column's score.  A column run on the
+    reversed pattern over the reversed text holds at row ``i`` the distance
+    of the pattern's last ``i`` tokens to the text, so when ``lengths[r] ==
+    width`` its row read back to front holds at ``j`` the distance of
+    ``pattern[j:]``.  A prefix row plus such a suffix row, minimized, is the
     distance of the whole text: D(p, X + Y) = min_j D(p[:j], X) + D(p[j:], Y).
     """
     count = len(columns)
     nbytes = width // 8 + 1
-    if suffix:
-        # bit m - 1 goes to the top, so big-endian unpacking reads rows m - 1, m - 2, ...
-        shifts = [8 * nbytes - m for m in lengths]
-        ints = [c.pv << s for c, s in zip(columns, shifts)]
-        ints += [c.mv << s for c, s in zip(columns, shifts)]
-        order = "big"
-    else:
-        ints = [c.pv for c in columns] + [c.mv for c in columns]
-        order = "little"
-    raw = b"".join(value.to_bytes(nbytes, order) for value in ints)
+    ints = [c.pv for c in columns] + [c.mv for c in columns]
+    raw = b"".join(value.to_bytes(nbytes, "little") for value in ints)
     bits = np.unpackbits(
-        np.frombuffer(raw, np.uint8).reshape(2, count, nbytes), axis=2, bitorder=order
+        np.frombuffer(raw, np.uint8).reshape(2, count, nbytes), axis=2, bitorder="little"
     )
     values = np.zeros((count, width + 1), dtype=np.int64)
     np.cumsum(
@@ -228,11 +218,7 @@ def _column_values(
         out=values[:, 1:],
     )
     scores = np.array([c.score for c in columns], dtype=np.int64)
-    if suffix:
-        np.subtract(scores[:, None], values, out=values)
-        values[np.arange(width + 1) > np.asarray(lengths)[:, None]] = _SUFFIX_SENTINEL
-    else:
-        values += (scores - values[:, -1])[:, None]
+    values += (scores - values[:, -1])[:, None]
     return values
 
 
@@ -300,59 +286,60 @@ def _speaker_streams(
     return {str(label): tuple(words) for label, words in per_speaker.items()}
 
 
-def _padded_cost_matrix(
-    ref_map: dict[str, tuple[str, ...]], hyp_map: dict[str, tuple[str, ...]]
-) -> tuple[list[str | None], list[str | None], list[tuple[str, ...]], list[tuple[str, ...]], np.ndarray]:
-    """Pad the smaller side with empty dummy speakers and fill the cost matrix.
+def _cost_matrix(
+    ref_streams: Sequence[tuple[str, ...]], hyp_streams: Sequence[tuple[str, ...]]
+) -> np.ndarray:
+    """Cost ``[i, j]``: distance of reference stream ``i`` to hypothesis stream ``j``.
 
-    Cost ``[i, j]`` is the distance of reference stream ``i`` to hypothesis
-    stream ``j``: the hypothesis length (row 0 of every lane) plus the
-    popcount difference of lane ``i``'s vertical deltas.
+    Each reference takes a lane of its own, so a hypothesis stream is one
+    kernel pass, and a lane's cost is the hypothesis length (row 0 of every
+    lane) plus the popcount difference of its vertical deltas.
     """
-    size = max(len(ref_map), len(hyp_map))
-    ref_labels: list[str | None] = list(ref_map) + [None] * (size - len(ref_map))
-    hyp_labels: list[str | None] = list(hyp_map) + [None] * (size - len(hyp_map))
-    ref_streams = [ref_map.get(l, ()) if l is not None else () for l in ref_labels]
-    hyp_streams = [hyp_map.get(l, ()) if l is not None else () for l in hyp_labels]
-    # each reference in a lane of its own: one kernel pass per hypothesis stream
     masks, lanes = _packed_masks(ref_streams)
     full = sum(lanes)
     bottoms = sum(lane & -lane for lane in lanes)
-    cost = np.empty((size, size), dtype=np.int64)
+    cost = np.empty((len(ref_streams), len(hyp_streams)), dtype=np.int64)
     for j, hyp in enumerate(hyp_streams):
         pv, mv = _myers(masks, full, bottoms, hyp, full, 0)
         cost[:, j] = [
             len(hyp) + (pv & lane).bit_count() - (mv & lane).bit_count()
             for lane in lanes
         ]
-    return ref_labels, hyp_labels, ref_streams, hyp_streams, cost
+    return cost
 
 
-def _report_from_pairing(
-    ref_labels: Sequence[str | None],
-    hyp_labels: Sequence[str | None],
-    ref_streams: Sequence[tuple[str, ...]],
-    hyp_streams: Sequence[tuple[str, ...]],
-    pairing: Sequence[tuple[int, int]],
-    total_errors: int,
-    ref_words: int,
+def _scored(
+    reference: ReferenceTranscript | Mapping[str, Sequence[str]],
+    hypothesis: Mapping[str, Sequence[str]],
+    pairing: Callable[[np.ndarray], Iterable[tuple[int, int]]],
 ) -> CpWerReport:
-    streams = []
+    """Report of the speaker pairing that ``pairing`` picks from the cost matrix.
+
+    The smaller side is padded with empty dummy speakers, so the matrix is
+    square; ``pairing`` returns (reference, hypothesis) index pairs, and the
+    report lists the scored pairs in that order, leaving out dummy-to-dummy.
+    """
+    ref_map = _speaker_streams(reference)
+    hyp_map = _speaker_streams(hypothesis)
+    ref_words = sum(len(w) for w in ref_map.values())
+    if ref_words == 0:
+        raise ValueError("cpWER undefined: reference contains no words")
+    size = max(len(ref_map), len(hyp_map))
+    refs = list(ref_map.items()) + [(None, ())] * (size - len(ref_map))
+    hyps = list(hyp_map.items()) + [(None, ())] * (size - len(hyp_map))
+    cost = _cost_matrix([words for _, words in refs], [words for _, words in hyps])
+    errors = 0
+    streams: list[_Aligned] = []
     mapping: dict[str, str | None] = {}
-    for i, j in pairing:
-        ref_label, hyp_label = ref_labels[i], hyp_labels[j]
+    for i, j in pairing(cost):
+        errors += int(cost[i, j])
+        (ref_label, ref), (hyp_label, hyp) = refs[i], hyps[j]
         if ref_label is None and hyp_label is None:
             continue
-        streams.append((ref_label, hyp_label, ref_streams[i], hyp_streams[j]))
+        streams.append((ref_label, hyp_label, ref, hyp))
         if hyp_label is not None:
             mapping[hyp_label] = ref_label
-    return CpWerReport(
-        errors=total_errors,
-        ref_words=ref_words,
-        cpwer=total_errors / ref_words,
-        mapping=mapping,
-        streams=tuple(streams),
-    )
+    return CpWerReport(errors, ref_words, errors / ref_words, mapping, tuple(streams))
 
 
 def cpwer(
@@ -368,24 +355,8 @@ def cpwer(
     >>> cpwer({"A": "hello world".split()}, {"1": "hello world".split()}).cpwer
     0.0
     """
-    ref_map = _speaker_streams(reference)
-    hyp_map = _speaker_streams(hypothesis)
-    ref_words = sum(len(w) for w in ref_map.values())
-    if ref_words == 0:
-        raise ValueError("cpWER undefined: reference contains no words")
-    ref_labels, hyp_labels, ref_streams, hyp_streams, cost = _padded_cost_matrix(
-        ref_map, hyp_map
-    )
-    rows, cols = linear_sum_assignment(cost)
-    total = int(cost[rows, cols].sum())
-    return _report_from_pairing(
-        ref_labels,
-        hyp_labels,
-        ref_streams,
-        hyp_streams,
-        list(zip(rows.tolist(), cols.tolist())),
-        total,
-        ref_words,
+    return _scored(
+        reference, hypothesis, lambda cost: zip(*linear_sum_assignment(cost))
     )
 
 
@@ -398,37 +369,24 @@ def brute_force_cpwer(
     Limited to ``BRUTE_FORCE_MAX_SPEAKERS`` padded speakers.  Ties between
     permutations resolve to the lexicographically smallest one.
     """
-    ref_map = _speaker_streams(reference)
-    hyp_map = _speaker_streams(hypothesis)
-    ref_words = sum(len(w) for w in ref_map.values())
-    if ref_words == 0:
-        raise ValueError("cpWER undefined: reference contains no words")
-    ref_labels, hyp_labels, ref_streams, hyp_streams, cost = _padded_cost_matrix(
-        ref_map, hyp_map
-    )
-    size = cost.shape[0]
-    if size > BRUTE_FORCE_MAX_SPEAKERS:
-        raise ValueError(
-            f"{size} padded speakers exceed the brute-force limit "
-            f"({BRUTE_FORCE_MAX_SPEAKERS})"
+
+    def best_permutation(cost: np.ndarray) -> Iterable[tuple[int, int]]:
+        size = len(cost)
+        if size > BRUTE_FORCE_MAX_SPEAKERS:
+            raise ValueError(
+                f"{size} padded speakers exceed the brute-force limit "
+                f"({BRUTE_FORCE_MAX_SPEAKERS})"
+            )
+        rows = cost.tolist()
+        # permutations come in lexicographic order and min keeps the first minimum
+        return enumerate(
+            min(
+                itertools.permutations(range(size)),
+                key=lambda perm: sum(rows[i][j] for i, j in enumerate(perm)),
+            )
         )
-    rows = cost.tolist()
-    best_total = None
-    best_perm = None
-    for perm in itertools.permutations(range(size)):
-        total = sum(rows[i][j] for i, j in enumerate(perm))
-        if best_total is None or total < best_total:
-            best_total = total
-            best_perm = perm
-    return _report_from_pairing(
-        ref_labels,
-        hyp_labels,
-        ref_streams,
-        hyp_streams,
-        list(enumerate(best_perm)),
-        best_total,
-        ref_words,
-    )
+
+    return _scored(reference, hypothesis, best_permutation)
 
 
 def segment_order(session: SessionHypothesis) -> list[int]:

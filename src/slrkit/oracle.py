@@ -93,7 +93,6 @@ def _exact_search(
     num_segments = len(segments)
     masks = [_match_masks(ref) for ref in refs]
     columns = [_advance(masks[r], len(refs[r]), ()) for r in range(k)]
-    consumed = [0] * k
     mins = [0] * k
     labels = [0] * num_segments
     best_cost: int | None = None
@@ -111,13 +110,12 @@ def _exact_search(
             return
         words = segments[depth]
         for r in range(k):
-            saved = columns[r], consumed[r], mins[r]
+            saved = columns[r], mins[r]
             columns[r] = _advance(masks[r], len(refs[r]), words, columns[r])
-            consumed[r] += len(words)
-            mins[r] = _column_min(columns[r], len(refs[r]), consumed[r])
+            mins[r] = _column_min(columns[r], len(refs[r]))
             labels[depth] = r
             search(depth + 1)
-            columns[r], consumed[r], mins[r] = saved
+            columns[r], mins[r] = saved
 
     search(0)
     assert best_cost is not None and best_labels is not None
@@ -129,11 +127,12 @@ class _Boundaries(NamedTuple):
 
     Boundary ``p`` falls before the cluster's ``p``-th segment.  ``heads[p]``
     is the kernel column of the stream before it, ``suffixes[p, j]`` the
-    distance of ``ref[j:]`` to the stream after it (``metrics._column_values``
-    layout), and ``removals[p]`` the distance of the whole stream without its
-    ``p``-th segment.  Cluster ``c`` is scored against reference ``c`` only,
-    and the state lives only while its cluster's costs are recomputed, so it
-    is O(cluster segments x reference length).
+    distance of ``ref[j:]`` to the stream after it (the backward run's
+    ``metrics._column_values`` row, reversed), and ``removals[p]`` the
+    distance of the whole stream without its ``p``-th segment.  Cluster
+    ``c`` is scored against reference ``c`` only, and the state lives only
+    while its cluster's costs are recomputed, so it is O(cluster segments x
+    reference length).
     """
 
     heads: list[_Column]
@@ -167,7 +166,9 @@ def _descend(
     No candidate stream is re-aligned from its first word.  A cluster's costs
     come from the kernel column of every stream prefix that ends at a segment
     boundary and the DP values of every suffix, from the kernel run backwards
-    on the reversed reference.  They combine by the split
+    on the reversed reference: its column after the reversed suffix Y holds
+    D(ref[m - i:], Y) at row ``i``, so its decoded row, reversed, holds
+    D(ref[j:], Y) at ``j``.  They combine by the split
     D(ref, X + Y) = min_j D(ref[:j], X) + D(ref[j:], Y) (Hirschberg 1975):
     removing a segment joins the prefix before it to the suffix after it,
     and inserting one advances a prefix column over the segment's words only.
@@ -199,7 +200,7 @@ def _descend(
         tails.reverse()
         rows = [m] * len(heads)
         prefix = _column_values(heads, rows, m)
-        suffix = _column_values(tails, rows, m, suffix=True)
+        suffix = _column_values(tails, rows, m)[:, ::-1]
         return _Boundaries(heads, suffix, (prefix[:-1] + suffix[1:]).min(axis=1))
 
     current = np.array(labels)

@@ -356,22 +356,22 @@ def macro_cpwer(reports: list[CpWerReport]) -> float:
 
 
 def parse_sweep(text: str) -> tuple[tuple[float, ...], tuple[float, ...]]:
-    """Parse a sweep such as ``step:0,0.1,0.25,1;poly:1,2,4,8,16``."""
-    alphas: tuple[float, ...] = ()
-    betas: tuple[float, ...] = ()
+    """Parse a sweep such as ``step:0,0.1,0.25,1;poly:1,2,4,8,16``.
+
+    A value that ``AttenuationConfig`` rejects raises ``ValueError`` naming
+    its part of the sweep.
+    """
+    sweep: dict[str, tuple[float, ...]] = {"step": (), "poly": ()}
     for part in filter(None, (p.strip() for p in text.split(";"))):
         kind, _, values = part.partition(":")
-        try:
-            parsed = tuple(float(v) for v in values.split(",") if v.strip())
-        except ValueError as exc:
-            raise ValueError(f"bad sweep values in {part!r}") from exc
-        if kind == "step":
-            alphas = parsed
-        elif kind == "poly":
-            betas = parsed
-        else:
+        if kind not in sweep:
             raise ValueError(f"unknown sweep kind {kind!r} (expected step/poly)")
-    return alphas, betas
+        try:
+            sweep[kind] = tuple(float(v) for v in values.split(",") if v.strip())
+            _grid_configs(sweep["step"], sweep["poly"])
+        except ValueError as exc:
+            raise ValueError(f"bad sweep values in {part!r}: {exc}") from exc
+    return sweep["step"], sweep["poly"]
 
 
 def _grid_configs(

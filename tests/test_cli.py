@@ -343,3 +343,54 @@ def test_num_speakers_flag(synth_corpus):
     sessions = corpus.parse_segments(synth_corpus / "two.jsonl")
     for session in sessions:
         assert len({seg.initial_speaker for seg in session.segments}) <= 2
+
+
+@pytest.mark.parametrize(
+    "command, flags, message",
+    [
+        ("reassign", ["--num-speakers", "0"], "--num-speakers must be >= 1"),
+        ("reassign", ["--attenuation", "step:2"], "bad attenuation 'step:2'"),
+        ("report", ["--sweep", "step:2"], "bad sweep values in 'step:2'"),
+        ("report", ["--sweep", "poly:-1"], "bad sweep values in 'poly:-1'"),
+    ],
+)
+def test_bad_flag_reported_before_reading_segments(
+    tmp_path, capsys, command, flags, message
+):
+    missing = tmp_path / "missing.jsonl"
+    argv = [command, "--segments", str(missing), "--out", str(tmp_path / "x.jsonl")]
+    if command == "report":
+        argv += ["--reference", str(missing)]
+    assert cli.main(argv + flags) == 1
+    err = capsys.readouterr().err
+    assert message in err
+    assert "missing.jsonl" not in err
+
+
+@pytest.mark.parametrize(
+    "command, with_reference",
+    [
+        ("reassign", False),
+        ("reassign", True),
+        ("cpwer", True),
+        ("oracle", True),
+        ("report", True),
+    ],
+)
+def test_segments_file_without_records_rejected(
+    synth_corpus, capsys, command, with_reference
+):
+    empty = synth_corpus / "empty.jsonl"
+    empty.write_text("", encoding="utf-8")
+    out = synth_corpus / "out.jsonl"
+    if command == "cpwer":
+        argv = ["cpwer", "--hyp", str(empty)]
+    else:
+        argv = [command, "--segments", str(empty), "--out", str(out)]
+    if with_reference:
+        argv += ["--reference", str(synth_corpus / "demo.reference.jsonl")]
+    assert cli.main(argv) == 1
+    captured = capsys.readouterr()
+    assert f"no segment records in {empty}" in captured.err
+    assert captured.out == ""
+    assert not out.exists()

@@ -12,13 +12,12 @@ from hypothesis import strategies as st
 
 from slrkit.corpus import LabelAssignment, ReferenceTranscript, Segment, SessionHypothesis
 from slrkit.metrics import (
-    _SUFFIX_SENTINEL,
     CpWerReport,
     _Column,
     _advance,
     _column_values,
+    _cost_matrix,
     _match_masks,
-    _padded_cost_matrix,
     brute_force_cpwer,
     cpwer,
     cpwer_from_segments,
@@ -142,10 +141,21 @@ def prefix_values(patterns, text):
     return _column_values(columns, lengths, max(lengths))
 
 
+SUFFIX_SENTINEL = 1 << 40
+
+
 def suffix_values(patterns, text):
-    columns = [_advance(_match_masks(p[::-1]), len(p), text[::-1]) for p in patterns]
-    lengths = [len(p) for p in patterns]
-    return _column_values(columns, lengths, max(lengths), suffix=True)
+    """Row ``r``, entry ``j``: D(patterns[r][j:], text), and a sentinel past the pattern.
+
+    Each pattern's backward column is decoded in the prefix layout and its row
+    reversed, as the greedy oracle reads suffix distances.
+    """
+    width = max(len(p) for p in patterns)
+    values = np.full((len(patterns), width + 1), SUFFIX_SENTINEL)
+    for row, p in zip(values, patterns):
+        column = _advance(_match_masks(p[::-1]), len(p), text[::-1])
+        row[: len(p) + 1] = _column_values([column], [len(p)], len(p))[0, ::-1]
+    return values
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
@@ -161,7 +171,7 @@ def test_column_values_match_reference_table(inputs):
         # row j of the reversed table is the distance of pattern[m - j:]
         backward = [row[-1] for row in reference_table(pattern[::-1], text[::-1])]
         assert suffix[: m + 1].tolist() == backward[::-1]
-        assert (suffix[m + 1 :] == _SUFFIX_SENTINEL).all()
+        assert (suffix[m + 1 :] == SUFFIX_SENTINEL).all()
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
@@ -425,7 +435,10 @@ def speaker_maps(draw):
 @given(speaker_maps())
 def test_packed_cost_matrix_matches_pairwise_distances(maps):
     ref, hyp = maps
-    _, _, ref_streams, hyp_streams, cost = _padded_cost_matrix(ref, hyp)
+    size = max(len(ref), len(hyp))
+    ref_streams = list(ref.values()) + [()] * (size - len(ref))
+    hyp_streams = list(hyp.values()) + [()] * (size - len(hyp))
+    cost = _cost_matrix(ref_streams, hyp_streams)
     assert cost.shape == (max(len(ref), len(hyp)),) * 2
     for i, ref_words in enumerate(ref_streams):
         for j, hyp_words in enumerate(hyp_streams):
@@ -479,6 +492,82 @@ def test_brute_force_rejects_large_matrices():
     hyp = {f"h{i}": ("a",) for i in range(9)}
     with pytest.raises(ValueError, match="brute-force"):
         brute_force_cpwer(ref, hyp)
+
+
+# (reference, hypothesis, {scorer: (errors, mapping items, stream labels)}).
+# The mapping order is output (``reassign --report``, ``cpwer --per-session``),
+# so it is pinned along with the pairing that tie-breaking picks.
+TIE_CASES = {
+    "identical hypothesis streams": (
+        {"A": toks("a b"), "B": toks("c"), "C": toks("a")},
+        {"1": toks("a b"), "2": toks("a b"), "3": toks("a b")},
+        {
+            cpwer: (
+                3,
+                [("1", "A"), ("2", "B"), ("3", "C")],
+                [("A", "1"), ("B", "2"), ("C", "3")],
+            ),
+            brute_force_cpwer: (
+                3,
+                [("1", "A"), ("2", "B"), ("3", "C")],
+                [("A", "1"), ("B", "2"), ("C", "3")],
+            ),
+        },
+    ),
+    "empty hypothesis speaker": (
+        {"A": toks("a b"), "B": toks("c")},
+        {"1": (), "2": toks("a b c")},
+        {
+            cpwer: (2, [("2", "A"), ("1", "B")], [("A", "2"), ("B", "1")]),
+            brute_force_cpwer: (2, [("2", "A"), ("1", "B")], [("A", "2"), ("B", "1")]),
+        },
+    ),
+    "only empty hypothesis speakers": (
+        {"A": toks("a"), "B": toks("b")},
+        {"1": (), "2": ()},
+        {
+            cpwer: (2, [("1", "A"), ("2", "B")], [("A", "1"), ("B", "2")]),
+            brute_force_cpwer: (2, [("1", "A"), ("2", "B")], [("A", "1"), ("B", "2")]),
+        },
+    ),
+    "more hypothesis speakers": (
+        {"A": toks("a b")},
+        {"1": toks("a"), "2": toks("b"), "3": ()},
+        {
+            cpwer: (
+                2,
+                [("1", "A"), ("3", None), ("2", None)],
+                [("A", "1"), (None, "3"), (None, "2")],
+            ),
+            brute_force_cpwer: (
+                2,
+                [("1", "A"), ("2", None), ("3", None)],
+                [("A", "1"), (None, "2"), (None, "3")],
+            ),
+        },
+    ),
+    "more reference speakers": (
+        {"A": toks("a"), "B": toks("a"), "C": toks("b")},
+        {"2": toks("b"), "1": toks("a")},
+        {
+            cpwer: (1, [("1", "A"), ("2", "C")], [("A", "1"), ("B", None), ("C", "2")]),
+            brute_force_cpwer: (
+                1,
+                [("1", "A"), ("2", "C")],
+                [("A", "1"), ("B", None), ("C", "2")],
+            ),
+        },
+    ),
+}
+
+
+@pytest.mark.parametrize("case", TIE_CASES)
+@pytest.mark.parametrize("score", [cpwer, brute_force_cpwer], ids=lambda f: f.__name__)
+def test_cpwer_reports_on_ties_are_pinned(case, score):
+    ref, hyp, expected = TIE_CASES[case]
+    report = score(ref, hyp)
+    labels = [(ref_label, hyp_label) for ref_label, hyp_label, _, _ in report.streams]
+    assert (report.errors, list(report.mapping.items()), labels) == expected[score]
 
 
 def make_session(words_per_segment, speakers, starts=None, ids=None):
