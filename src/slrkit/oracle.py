@@ -8,12 +8,22 @@ permutation search of their own.  Exact mode enumerates every assignment
 (with branch-and-bound pruning that never changes the result); greedy mode
 scales to long sessions by coordinate descent from the cheaper of a local
 alignment initialization and the cheapest labeling the caller has already
-scored, so it scores no worse than any of those.  Both score alignments with
-the bit-parallel Levenshtein kernel of :mod:`slrkit.metrics`: the
-initialization with each reference as pattern from an all-zero column, the
-exact search by extending one kernel column per speaker and segment, and the
-greedy search from cached prefix columns and suffix values at each cluster's
-segment boundaries, joined by D(ref, X + Y) = min_j D(ref[:j], X) + D(ref[j:], Y).
+scored, so it scores no worse than any of those.
+
+The initialization's costs g(i, c), of segment ``i`` against its
+best-matching window of reference ``c`` (approximate substring matching,
+Sellers 1980), give the lower bound B = sum over ``i`` of min_c g(i, c) on
+the objective of every labeling.  The greedy search stops as soon as its
+labeling costs B, which proves it optimal, and the exact search adds the
+bound of the segments it has not placed yet to its pruning.
+
+The initialization and both searches align with the bit-parallel
+Levenshtein kernel of :mod:`slrkit.metrics`: the initialization in one pass
+per segment, every reference a lane of one packed pattern started from an
+all-zero column, the exact search by extending one kernel column per speaker
+and segment, and the greedy search from cached prefix columns and suffix
+values at each cluster's segment boundaries, joined by
+D(ref, X + Y) = min_j D(ref[:j], X) + D(ref[j:], Y).
 """
 
 from __future__ import annotations
@@ -31,6 +41,8 @@ from .metrics import (
     _column_min,
     _column_values,
     _match_masks,
+    _myers,
+    _packed_masks,
     cpwer_from_segments,
     segment_order,
     token_distance,
@@ -60,22 +72,30 @@ def _free_end_gap_costs(
 ) -> np.ndarray:
     """Edit cost of each segment against its best-matching window of each reference.
 
-    Unconsumed reference words before and after the window are free.  The
-    reference is the kernel pattern and the start column is all zeros, so the
-    match may start at any row; the kernel steps over the segment's words
-    only, and the cost is the minimum of the final column.
+    Unconsumed reference words before and after the window are free.  Every
+    reference is a lane of one packed kernel pattern and the start column is
+    all zeros (``pv = mv = 0``), so the match may start at any row of any
+    lane; one kernel pass steps over the segment's words, and a lane's cost
+    is the minimum of its rows of the final column.  The packed columns of a
+    block of segments are decoded together as one pattern: a lane's row 0
+    holds the segment length, and the zero guard bits between lanes leave the
+    running sum unchanged, so each lane's rows are re-anchored at its row 0.
     """
-    lengths = [len(ref) for ref in refs]
-    masks = [_match_masks(ref) for ref in refs]
+    masks, lanes = _packed_masks(refs)
+    full = sum(lanes)
+    bottoms = sum(lane & -lane for lane in lanes)
+    offsets = np.cumsum([0] + [len(ref) + 1 for ref in refs[:-1]])
+    width = int(offsets[-1]) + len(refs[-1])
     costs = [np.empty((0, len(refs)), dtype=np.int64)]
-    for block in _blocks(list(segments), len(refs) * (max(lengths) + 1)):
+    for block in _blocks(list(segments), width + 1):
+        # any score will do: each lane is re-anchored at its own row 0
         ends = [
-            _advance(masks[r], lengths[r], words, _Column(0, 0, 0))
-            for words in block
-            for r in range(len(refs))
+            _Column(*_myers(masks, full, bottoms, words, 0, 0), 0) for words in block
         ]
-        values = _column_values(ends, lengths * len(block), max(lengths))
-        costs.append(values.min(axis=1).reshape(len(block), len(refs)))
+        values = _column_values(ends, [width] * len(block), width)
+        lows = np.minimum.reduceat(values, offsets, axis=1) - values[:, offsets]
+        sizes = np.array([[len(words)] for words in block], dtype=np.int64)
+        costs.append(lows + sizes)
     return np.concatenate(costs)
 
 
@@ -85,12 +105,17 @@ def _exact_search(
     """Minimum total edit cost over all segment-to-speaker assignments.
 
     Segments are consumed in stream order so each partial assignment extends
-    the per-speaker kernel columns in place.  Pruning uses the column minima,
-    a valid lower bound on any completion, and preserves the
-    lexicographically smallest minimizing assignment.
+    the per-speaker kernel columns in place.  A completion costs at least the
+    column minima plus, per remaining segment, its cheapest free-end-gap
+    cost: the rest of reference ``c`` splits into one window per segment
+    that cluster ``c`` still receives.  Pruning at that bound only when it
+    reaches the best cost so far preserves the lexicographically smallest
+    minimizing assignment.
     """
     k = len(refs)
     num_segments = len(segments)
+    lows = _free_end_gap_costs(segments, refs).min(axis=1)
+    rest = np.append(np.cumsum(lows[::-1])[::-1], 0).tolist()
     masks = [_match_masks(ref) for ref in refs]
     columns = [_advance(masks[r], len(refs[r]), ()) for r in range(k)]
     mins = [0] * k
@@ -100,7 +125,7 @@ def _exact_search(
 
     def search(depth: int) -> None:
         nonlocal best_cost, best_labels
-        if best_cost is not None and sum(mins) >= best_cost:
+        if best_cost is not None and sum(mins) + rest[depth] >= best_cost:
             return
         if depth == num_segments:
             cost = sum(column.score for column in columns)
@@ -151,7 +176,10 @@ def _diagonal_cost(
 
 
 def _descend(
-    segments: list[tuple[str, ...]], refs: list[tuple[str, ...]], labels: list[int]
+    segments: list[tuple[str, ...]],
+    refs: list[tuple[str, ...]],
+    labels: list[int],
+    bound: int = 0,
 ) -> tuple[int, list[int]]:
     """Best-move coordinate descent on the diagonal objective from ``labels``.
 
@@ -161,7 +189,9 @@ def _descend(
     S x k delta array at once and applies its row-major ``argmin``: the move
     that decreases the error count the most, first in (segment, target) order
     on ties.  It stops when no move helps, which it must, because the error
-    count strictly decreases.
+    count strictly decreases, or when the count reaches ``bound``, a lower
+    bound on every labeling's objective: no move could help from there, so
+    the result is the same.
 
     No candidate stream is re-aligned from its first word.  A cluster's costs
     come from the kernel column of every stream prefix that ends at a segment
@@ -226,7 +256,7 @@ def _descend(
     for c in range(k):
         refresh(c)
     rows = np.arange(num_segments)
-    while distance.sum() > 0:
+    while distance.sum() > bound:
         delta = insert - distance + (removal - distance[current])[:, None]
         delta[rows, current] = 0
         best = int(delta.argmin())
@@ -251,21 +281,33 @@ def _greedy_search(
     """Descent on the diagonal objective from the cheaper of two labelings.
 
     One is the free-end-gap start: each segment at the reference it matches
-    best (first on ties), its S x k costs decoded in batches.  The other is
-    ``start``, a reference index per segment, where a ``None`` takes the
-    free-end-gap choice; ``start_cost``, when the caller knows it, is its
-    diagonal cost, and is computed otherwise.  The descent runs once, from
-    ``start`` only if its diagonal cost is strictly lower; it never raises
-    the cost, so the result costs at most as much as either.
+    best (first on ties), from the S x k costs of ``_free_end_gap_costs``.
+    The other is ``start``, a reference index per segment, where a ``None``
+    takes the free-end-gap choice; ``start_cost``, when the caller knows it,
+    is its diagonal cost, and is computed otherwise.  The descent runs at
+    most once, from ``start`` only if its diagonal cost is strictly lower;
+    it never raises the cost, so the result costs at most as much as either.
+
+    B, the sum over segments of their cheapest free-end-gap cost, bounds
+    every labeling's objective from below: an optimal alignment of ``ref_c``
+    to cluster ``c``'s stream splits it into one window per segment.  A
+    start that costs B is optimal, so it is returned without a descent (the
+    free-end-gap start is checked first, as it wins ties), and the descent
+    stops once it reaches B.
     """
-    labels = _free_end_gap_costs(segments, refs).argmin(axis=1).tolist()
-    if start is not None:
+    costs = _free_end_gap_costs(segments, refs)
+    bound = int(costs.min(axis=1).sum())
+    labels = costs.argmin(axis=1).tolist()
+    cost = _diagonal_cost(segments, refs, labels)
+    if start is not None and cost > bound:
         mapped = [free if s is None else s for s, free in zip(start, labels)]
         if start_cost is None:
             start_cost = _diagonal_cost(segments, refs, mapped)
-        if start_cost < _diagonal_cost(segments, refs, labels):
-            labels = mapped
-    return _descend(segments, refs, labels)
+        if start_cost < cost:
+            labels, cost = mapped, start_cost
+    if cost == bound:
+        return cost, labels
+    return _descend(segments, refs, labels, bound)
 
 
 def oracle_assignment(

@@ -201,6 +201,28 @@ def test_greedy_bounds_its_starts_and_exact_bounds_greedy(inputs, data):
     assert exact.errors <= greedy.errors <= min(report.errors for _, report in starts)
 
 
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(scored_starts(), st.data())
+def test_free_end_gap_bound_certifies_the_greedy_start(inputs, data):
+    # B, the sum of each segment's cheapest window cost, is at most the exact
+    # oracle.  The search returns what a full descent from its chosen start
+    # returns, also when that start costs B and no descent runs.
+    session, ref, starts = inputs
+    segments, refs = stream_inputs(session, ref)
+    costs = _free_end_gap_costs(segments, refs)
+    bound = costs.min(axis=1).sum()
+    _, exact = oracle_assignment(session, ref, "exact")
+    _, greedy = oracle_assignment(session, ref, "greedy", starts=starts)
+    assert bound <= exact.errors <= greedy.errors
+    options = st.none() | st.integers(0, len(refs) - 1)
+    start = data.draw(st.lists(options, min_size=len(segments), max_size=len(segments)))
+    free = costs.argmin(axis=1).tolist()
+    mapped = [choice if s is None else s for s, choice in zip(start, free)]
+    # min keeps the first of equal costs: the free-end-gap start wins ties
+    chosen = min((free, mapped), key=lambda x: oracle._diagonal_cost(segments, refs, x))
+    assert _greedy_search(segments, refs, start) == oracle._descend(segments, refs, chosen)
+
+
 def test_greedy_relabels_through_a_cheaper_cpwer_pairing():
     # the free-end-gap start puts "b" on "c c" and "b c" on "c": 3 errors and
     # no single move helps, but swapping the two clusters costs 2; the search
@@ -318,10 +340,16 @@ def test_free_end_gap_costs_match_plain_table():
         shared_vocabulary=True,
         vocab_size=300,
     )
-    sessions.append(generate_session(spec, session_seed(11, 12))[:2])
-    empty = unequal = 0
-    for session, ref in sessions:
-        segments, refs = stream_inputs(session, ref)
+    cases = [stream_inputs(session, ref) for session, ref in sessions]
+    cases.append(stream_inputs(*generate_session(spec, session_seed(11, 12))[:2]))
+    # lanes of 3, 6, 0, 12 and 1 words start at bits 0, 4, 11, 12 and 25, so
+    # most lane offsets fall inside a byte, and the segments hold words that
+    # no reference contains
+    refs = ("a b c", "c a a b d b", "", "d d a b c a b e c a d b", "e")
+    segments = ("x", "a y b", "", "c a a b d b q", "z z z z", "e e", "b c a d")
+    cases.insert(0, ([tuple(s.split()) for s in segments], [tuple(r.split()) for r in refs]))
+    empty = unequal = unaligned = unknown = 0
+    for segments, refs in cases:
         expected = [
             [min(reference_table(words, r, free_start=True)[-1]) for r in refs]
             for words in segments
@@ -329,8 +357,12 @@ def test_free_end_gap_costs_match_plain_table():
         assert _free_end_gap_costs(segments, refs).tolist() == expected
         empty += any(not words for words in segments)
         unequal += len({len(r) for r in refs}) > 1
-    assert empty >= 6 and unequal >= 6
-    assert max(len(r) for r in refs) >= 1000
+        offsets = np.cumsum([0] + [len(r) + 1 for r in refs[:-1]])
+        unaligned += any(offset % 8 for offset in offsets)
+        vocabulary = set().union(*refs)
+        unknown += any(word not in vocabulary for words in segments for word in words)
+    assert empty >= 6 and unequal >= 6 and unaligned >= 6 and unknown >= 1
+    assert max(len(r) for r in cases[-1][1]) >= 1000
 
 
 def test_exact_search_matches_plain_enumeration():
@@ -648,3 +680,29 @@ def test_greedy_start_cost_from_report_is_its_diagonal_cost(monkeypatch):
     # every one of the five oracle calls starts from a fully mapped labeling
     assert len(passed) == 5
     assert all(given == diagonal for given, diagonal in passed), passed
+
+
+def test_greedy_oracle_stops_at_the_bound_on_the_evaluate_workload(monkeypatch):
+    # the free-end-gap bound is reached on the evaluate workload, so its
+    # oracle is proved optimal without a single descent round
+    from slrkit.affinity import AttenuationConfig
+    from slrkit.pipeline import PipelineConfig, reassign
+
+    calls = []
+    descend = oracle._descend
+
+    def spy(*args):
+        calls.append(args)
+        return descend(*args)
+
+    monkeypatch.setattr(oracle, "_descend", spy)
+    ((session, ref, _),) = workload_sessions(
+        "evaluate", (4,), 40, (0.3, 1.0),
+        dim=192, words_per_segment=(90, 110), corruption=0.1, vocab_size=300,
+    )
+    cfg = PipelineConfig(attenuation=AttenuationConfig(mode="stepwise", alpha=0.25))
+    _, report = reassign(session, ref, cfg, seed=session_seed(1, 0))
+    segments, refs = stream_inputs(session, ref)
+    bound = _free_end_gap_costs(segments, refs).min(axis=1).sum()
+    assert report.cpwer_oracle.errors == bound
+    assert calls == []
