@@ -125,7 +125,6 @@ def _cmd_reassign(args) -> int:
     cfg = PipelineConfig(
         algorithm=args.algorithm,
         attenuation=parse_attenuation(args.attenuation),
-        seed=args.seed,
         num_speakers=parse_num_speakers(args.num_speakers),
     )
     sessions = _read_segments(args.segments)

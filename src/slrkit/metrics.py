@@ -189,19 +189,18 @@ def _column_min(column: _Column, m: int) -> int:
     return low
 
 
-def _column_values(
-    columns: Sequence[_Column], lengths: Sequence[int], width: int
-) -> np.ndarray:
+def _column_values(columns: Sequence[_Column], width: int) -> np.ndarray:
     """DP values of several kernel columns as one ``(len(columns), width + 1)`` array.
 
-    Column ``r`` belongs to a pattern of ``lengths[r] <= width`` tokens and
-    row ``r`` holds its values at pattern rows ``0..lengths[r]``, then repeats
-    the last one, anchored at the column's score.  A column run on the
-    reversed pattern over the reversed text holds at row ``i`` the distance
-    of the pattern's last ``i`` tokens to the text, so when ``lengths[r] ==
-    width`` its row read back to front holds at ``j`` the distance of
-    ``pattern[j:]``.  A prefix row plus such a suffix row, minimized, is the
-    distance of the whole text: D(p, X + Y) = min_j D(p[:j], X) + D(p[j:], Y).
+    Row ``r`` holds column ``r``'s values at pattern rows ``0..width``,
+    anchored at the column's score; a pattern shorter than ``width`` has no
+    delta bits past its last row, so its row repeats that value.  A column
+    run on the reversed pattern over the reversed text holds at row ``i``
+    the distance of the pattern's last ``i`` tokens to the text, so for a
+    pattern of ``width`` tokens its row read back to front holds at ``j``
+    the distance of ``pattern[j:]``.  A prefix row plus such a suffix row,
+    minimized, is the distance of the whole text:
+    D(p, X + Y) = min_j D(p[:j], X) + D(p[j:], Y).
     """
     count = len(columns)
     nbytes = width // 8 + 1

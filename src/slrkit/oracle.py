@@ -92,7 +92,7 @@ def _free_end_gap_costs(
         ends = [
             _Column(*_myers(masks, full, bottoms, words, 0, 0), 0) for words in block
         ]
-        values = _column_values(ends, [width] * len(block), width)
+        values = _column_values(ends, width)
         lows = np.minimum.reduceat(values, offsets, axis=1) - values[:, offsets]
         sizes = np.array([[len(words)] for words in block], dtype=np.int64)
         costs.append(lows + sizes)
@@ -228,9 +228,8 @@ def _descend(
             heads.append(head)
             tails.append(tail)
         tails.reverse()
-        rows = [m] * len(heads)
-        prefix = _column_values(heads, rows, m)
-        suffix = _column_values(tails, rows, m)[:, ::-1]
+        prefix = _column_values(heads, m)
+        suffix = _column_values(tails, m)[:, ::-1]
         return _Boundaries(heads, suffix, (prefix[:-1] + suffix[1:]).min(axis=1))
 
     current = np.array(labels)
@@ -250,7 +249,7 @@ def _descend(
                 _advance(masks[c], m, segments[i], state.heads[p])
                 for i, p in zip(block, at)
             ]
-            values = _column_values(ends, [m] * len(block), m) + state.suffixes[at]
+            values = _column_values(ends, m) + state.suffixes[at]
             insert[block, c] = values.min(axis=1)
 
     for c in range(k):

@@ -26,7 +26,6 @@ class PipelineConfig:
 
     algorithm: str = "sc"
     attenuation: AttenuationConfig = field(default_factory=AttenuationConfig)
-    seed: int = 0
     num_speakers: int | None = None
 
     def __post_init__(self):
@@ -61,7 +60,7 @@ def initial_speaker_streams(session: SessionHypothesis) -> dict[str, tuple[str, 
 
 
 def cluster_session(
-    session: SessionHypothesis, cfg: PipelineConfig, seed=None
+    session: SessionHypothesis, cfg: PipelineConfig, seed=0
 ) -> LabelAssignment:
     """Run the configured clusterer on one session."""
     k = cfg.num_speakers if cfg.num_speakers is not None else session.num_speakers
@@ -70,8 +69,6 @@ def cluster_session(
             f"session {session.session_id!r}: speaker count {k} invalid for "
             f"{len(session.segments)} segments"
         )
-    if seed is None:
-        seed = cfg.seed
     if cfg.algorithm == "kmeans":
         if cfg.attenuation.mode != "none":
             warnings.warn(
@@ -80,14 +77,6 @@ def cluster_session(
         labels = kmeans_pp(unit_normalize(session.embeddings()), k, seed)
         return LabelAssignment(session_id=session.session_id, labels=tuple(labels))
     return spectral_cluster(session, cfg.attenuation, seed, num_speakers=k)
-
-
-def auto_oracle_mode(reference: ReferenceTranscript, session: SessionHypothesis) -> str:
-    return (
-        "exact"
-        if exact_fits_budget(len(reference.per_speaker), len(session.segments))
-        else "greedy"
-    )
 
 
 def _safe_relative(
@@ -99,9 +88,25 @@ def _safe_relative(
     return relative_confusion_error(cpwer_none, cpwer_slr, cpwer_oracle)
 
 
-def _cluster_speakers(assignment: LabelAssignment) -> list[str]:
-    """Per-segment hypothesis speaker names under which cpWER scores ``assignment``."""
-    return [f"spk{c}" for c in assignment.labels]
+def _evaluate(
+    session: SessionHypothesis,
+    reference: ReferenceTranscript,
+    assignments: list[LabelAssignment],
+) -> tuple[CpWerReport, list[CpWerReport], CpWerReport, str]:
+    """cpWER of one session's initial labels, of each assignment, and of its oracle.
+
+    The oracle (exact when the enumeration fits its budget, greedy
+    otherwise) starts from every labeling scored here, so it bounds them all.
+    """
+    before = cpwer(reference, initial_speaker_streams(session))
+    afters = [cpwer_from_segments(reference, session, a) for a in assignments]
+    starts = [([seg.initial_speaker for seg in session.segments], before)]
+    for assignment, after in zip(assignments, afters):
+        starts.append(([f"spk{c}" for c in assignment.labels], after))
+    fits = exact_fits_budget(len(reference.per_speaker), len(session.segments))
+    mode = "exact" if fits else "greedy"
+    _, oracle_report = oracle_assignment(session, reference, mode, starts=starts)
+    return before, afters, oracle_report, mode
 
 
 def reassign(
@@ -109,13 +114,13 @@ def reassign(
     reference: ReferenceTranscript | None = None,
     cfg: PipelineConfig | None = None,
     *,
-    seed=None,
+    seed=0,
 ) -> tuple[LabelAssignment, ReassignReport]:
     """Re-cluster one session and, with a reference, quantify the gain.
 
-    Returns the new labels plus a report holding cpWER before and after
-    reassignment, the oracle cpWER (exact when the enumeration fits its
-    budget, greedy otherwise), and the relative confusion error.
+    Returns the new labels plus, with a reference, the report of
+    :func:`_evaluate` for them: cpWER before and after reassignment, the
+    oracle cpWER and its mode, and the relative confusion error.
     Deterministic for a fixed seed.
     """
     cfg = cfg or PipelineConfig()
@@ -123,16 +128,7 @@ def reassign(
     if reference is None:
         return assignment, ReassignReport()
 
-    before = cpwer(reference, initial_speaker_streams(session))
-    after = cpwer_from_segments(reference, session, assignment)
-    mode = auto_oracle_mode(reference, session)
-    initial = [seg.initial_speaker for seg in session.segments]
-    _, oracle_report = oracle_assignment(
-        session,
-        reference,
-        mode,
-        starts=[(initial, before), (_cluster_speakers(assignment), after)],
-    )
+    before, (after,), oracle_report, mode = _evaluate(session, reference, [assignment])
     relative = _safe_relative(before.cpwer, after.cpwer, oracle_report.cpwer)
     return assignment, ReassignReport(
         cpwer_before=before,
@@ -376,18 +372,14 @@ def parse_sweep(text: str) -> tuple[tuple[float, ...], tuple[float, ...]]:
 
 def _grid_configs(
     step_alphas: tuple[float, ...], poly_betas: tuple[float, ...]
-) -> list[tuple[str, AttenuationConfig | None]]:
-    configs: list[tuple[str, AttenuationConfig | None]] = [
-        ("none", None),
-        ("kmeans", None),
-        ("sc", AttenuationConfig(mode="none")),
+) -> list[PipelineConfig]:
+    """Clustered rows in report order: k-means, then SC plain, per alpha, per beta."""
+    attenuations = [AttenuationConfig(mode="none")]
+    attenuations += [AttenuationConfig(mode="stepwise", alpha=a) for a in step_alphas]
+    attenuations += [AttenuationConfig(mode="polynomial", beta=b) for b in poly_betas]
+    return [PipelineConfig(algorithm="kmeans")] + [
+        PipelineConfig(algorithm="sc", attenuation=a) for a in attenuations
     ]
-    for alpha in step_alphas:
-        configs.append(("sc", AttenuationConfig(mode="stepwise", alpha=alpha)))
-    for beta in poly_betas:
-        configs.append(("sc", AttenuationConfig(mode="polynomial", beta=beta)))
-    configs.append(("oracle", None))
-    return configs
 
 
 def run_report(
@@ -399,76 +391,56 @@ def run_report(
 ) -> list[dict]:
     """Evaluate the attenuation grid over all sessions.
 
-    Returns one row dict per system configuration with pooled and
+    Each session is clustered under every grid configuration with its child
+    seed and scored by one :func:`_evaluate` call.  Returns one row dict per
+    system ("none", each configuration, "oracle") with pooled and
     macro-averaged cpWER plus relative confusion errors against the shared
     oracle.  Rows are deterministic for fixed inputs and seed.
     """
     refs_by_session = references_by_session(sessions, references)
-    seeds = [session_seed(seed, i) for i in range(len(sessions))]
     configs = _grid_configs(step_alphas, poly_betas)
-
-    none_reports = [
-        cpwer(refs_by_session[s.session_id], initial_speaker_streams(s))
-        for s in sessions
-    ]
-    # every session's oracle starts from the labelings scored before it
-    starts = [
-        [([seg.initial_speaker for seg in s.segments], report)]
-        for s, report in zip(sessions, none_reports)
-    ]
-    clustered: dict[int, list[CpWerReport]] = {}
-    for row, (algorithm, attenuation) in enumerate(configs):
-        if algorithm in ("none", "oracle"):
-            continue
-        cfg = PipelineConfig(
-            algorithm=algorithm, attenuation=attenuation or AttenuationConfig()
+    none_reports: list[CpWerReport] = []
+    afters: list[list[CpWerReport]] = []
+    oracle_reports: list[CpWerReport] = []
+    oracle_modes: set[str] = set()
+    for i, s in enumerate(sessions):
+        child = session_seed(seed, i)
+        assignments = [cluster_session(s, cfg, child) for cfg in configs]
+        before, session_afters, oracle_report, mode = _evaluate(
+            s, refs_by_session[s.session_id], assignments
         )
-        clustered[row] = []
-        for s, child, session_starts in zip(sessions, seeds, starts):
-            assignment = cluster_session(s, cfg, child)
-            report = cpwer_from_segments(refs_by_session[s.session_id], s, assignment)
-            clustered[row].append(report)
-            session_starts.append((_cluster_speakers(assignment), report))
-    oracle_reports = []
-    oracle_modes = []
-    for s, session_starts in zip(sessions, starts):
-        ref = refs_by_session[s.session_id]
-        mode = auto_oracle_mode(ref, s)
-        _, report = oracle_assignment(s, ref, mode, starts=session_starts)
-        oracle_reports.append(report)
-        oracle_modes.append(mode)
+        none_reports.append(before)
+        afters.append(session_afters)
+        oracle_reports.append(oracle_report)
+        oracle_modes.add(mode)
 
     pooled_none, macro_none = pooled_cpwer(none_reports), macro_cpwer(none_reports)
     pooled_oracle = pooled_cpwer(oracle_reports)
     macro_oracle = macro_cpwer(oracle_reports)
 
-    rows = []
-    for row, (algorithm, attenuation) in enumerate(configs):
-        if algorithm == "none":
-            reports = none_reports
-        elif algorithm == "oracle":
-            reports = oracle_reports
-        else:
-            reports = clustered[row]
-        pooled = pooled_cpwer(reports)
-        macro = macro_cpwer(reports)
-        rows.append(
-            {
-                "algorithm": algorithm,
-                "attenuation": attenuation.mode if attenuation else None,
-                "alpha": attenuation.alpha if attenuation and attenuation.mode == "stepwise" else None,
-                "beta": attenuation.beta if attenuation and attenuation.mode == "polynomial" else None,
-                "pooled_cpwer": pooled,
-                "macro_cpwer": macro,
-                "relative_confusion_error": _safe_relative(
-                    pooled_none, pooled, pooled_oracle
-                ),
-                "macro_relative_confusion_error": _safe_relative(
-                    macro_none, macro, macro_oracle
-                ),
-                "oracle_modes": sorted(set(oracle_modes))
-                if algorithm == "oracle"
-                else None,
-            }
-        )
-    return rows
+    def row(algorithm: str, cfg: PipelineConfig | None, reports: list[CpWerReport]):
+        attenuation = cfg.attenuation if cfg and cfg.algorithm == "sc" else None
+        pooled, macro = pooled_cpwer(reports), macro_cpwer(reports)
+        return {
+            "algorithm": algorithm,
+            "attenuation": attenuation.mode if attenuation else None,
+            "alpha": attenuation.alpha if attenuation and attenuation.mode == "stepwise" else None,
+            "beta": attenuation.beta if attenuation and attenuation.mode == "polynomial" else None,
+            "pooled_cpwer": pooled,
+            "macro_cpwer": macro,
+            "relative_confusion_error": _safe_relative(
+                pooled_none, pooled, pooled_oracle
+            ),
+            "macro_relative_confusion_error": _safe_relative(
+                macro_none, macro, macro_oracle
+            ),
+            "oracle_modes": sorted(oracle_modes) if algorithm == "oracle" else None,
+        }
+
+    # afters holds one list per session; a row takes one entry of each
+    clustered = zip(configs, zip(*afters))
+    return [
+        row("none", None, none_reports),
+        *(row(cfg.algorithm, cfg, reports) for cfg, reports in clustered),
+        row("oracle", None, oracle_reports),
+    ]

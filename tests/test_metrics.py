@@ -137,8 +137,7 @@ def patterns_and_text(draw):
 
 def prefix_values(patterns, text):
     columns = [_advance(_match_masks(p), len(p), text) for p in patterns]
-    lengths = [len(p) for p in patterns]
-    return _column_values(columns, lengths, max(lengths))
+    return _column_values(columns, max(len(p) for p in patterns))
 
 
 SUFFIX_SENTINEL = 1 << 40
@@ -154,7 +153,7 @@ def suffix_values(patterns, text):
     values = np.full((len(patterns), width + 1), SUFFIX_SENTINEL)
     for row, p in zip(values, patterns):
         column = _advance(_match_masks(p[::-1]), len(p), text[::-1])
-        row[: len(p) + 1] = _column_values([column], [len(p)], len(p))[0, ::-1]
+        row[: len(p) + 1] = _column_values([column], len(p))[0, ::-1]
     return values
 
 
@@ -220,7 +219,7 @@ def test_kernel_score_matches_plain_table_from_each_start(inputs):
         free = final_column(pattern, text, [0] * (m + 1))
         column = _advance(masks, m, text, _Column(0, 0, 0))
         assert column.score == free[-1]
-        values = _column_values([column], [m], m)[0]
+        values = _column_values([column], m)[0]
         assert values.tolist() == free
         assert values.min() == min(free)
 

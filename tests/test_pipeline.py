@@ -1,5 +1,8 @@
 """End-to-end reassignment, synthetic sessions, and the report grid."""
 
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
@@ -331,6 +334,41 @@ def test_run_report_oracle_row_bounds_every_row_on_sweep_sessions():
         assert oracle_row["pooled_cpwer"] <= row["pooled_cpwer"], row
         assert oracle_row["macro_cpwer"] <= row["macro_cpwer"], row
         assert row["relative_confusion_error"] >= 0
+    # the report file's bytes, with k-means rows and greedy oracle rows
+    text = "".join(json.dumps(row) + "\n" for row in rows)
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "8175a8a9c46f4f000a24ea2b0d05fd386edb74955c59ea26b77f85d0f95a0cef"
+    )
+
+
+def test_run_report_and_reassign_score_a_session_alike():
+    # one session through both callers of the shared evaluation: the report's
+    # oracle also starts from the k-means and other grid rows, so it can only
+    # be lower than the oracle of reassign
+    modes = set()
+    for trial in range(6):
+        speakers, count = (2, 8) if trial % 2 else (3, 16)
+        spec = SynthSpec(
+            num_speakers=speakers,
+            dim=8,
+            min_angle_deg=50.0,
+            buckets=(DurationBucket(count, 0.5, 9.0, 0.3),),
+            corruption=0.2,
+            confusion=0.4,
+        )
+        session, reference, _ = generate_session(spec, trial)
+        none_row, _, _, step_row, oracle_row = run_report(
+            [session], [reference], (0.25,), (), trial
+        )
+        cfg = PipelineConfig(attenuation=AttenuationConfig(mode="stepwise", alpha=0.25))
+        _, report = reassign(session, reference, cfg, seed=session_seed(trial, 0))
+        assert none_row["pooled_cpwer"] == report.cpwer_before.cpwer
+        assert (step_row["algorithm"], step_row["alpha"]) == ("sc", 0.25)
+        assert step_row["pooled_cpwer"] == report.cpwer_after.cpwer
+        assert oracle_row["pooled_cpwer"] <= report.cpwer_oracle.cpwer
+        assert oracle_row["oracle_modes"] == [report.oracle_mode]
+        modes.add(report.oracle_mode)
+    assert modes == {"exact", "greedy"}
 
 
 def test_run_report_requires_references():

@@ -1,8 +1,9 @@
-"""The benchmark's scripts use slrkit names that exist."""
+"""The benchmark's scripts use slrkit names that exist, with arguments they take."""
 
 import ast
 import importlib
 import importlib.util
+import inspect
 import sys
 from pathlib import Path
 
@@ -22,6 +23,27 @@ def test_tracer_targets_exist(monkeypatch):
         assert callable(function), f"slrkit.{module_name}.{function_name}"
 
 
+def slrkit_imports(tree):
+    """Local name -> (module, name) for each name a script imports from slrkit."""
+    imports = {}
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.ImportFrom) or node.module is None:
+            continue
+        if node.module.split(".")[0] == "slrkit":
+            for alias in node.names:
+                imports[alias.asname or alias.name] = (node.module, alias.name)
+    return imports
+
+
+def slrkit_modules(imports):
+    """Local name -> module name for the submodules ``from slrkit import …`` binds."""
+    return {
+        local: f"slrkit.{name}"
+        for local, (module, name) in imports.items()
+        if module == "slrkit"
+    }
+
+
 def slrkit_names(path):
     """(module, name) pairs a script takes from slrkit: imports and module attributes.
 
@@ -30,15 +52,8 @@ def slrkit_names(path):
     module.
     """
     tree = ast.parse(path.read_text(encoding="utf-8"))
-    names, modules = set(), {}
-    for node in ast.walk(tree):
-        if not isinstance(node, ast.ImportFrom) or node.module is None:
-            continue
-        if node.module.split(".")[0] == "slrkit":
-            for alias in node.names:
-                names.add((node.module, alias.name))
-                if node.module == "slrkit":
-                    modules[alias.asname or alias.name] = f"slrkit.{alias.name}"
+    imports = slrkit_imports(tree)
+    names, modules = set(imports.values()), slrkit_modules(imports)
     for node in ast.walk(tree):
         if (
             isinstance(node, ast.Attribute)
@@ -58,3 +73,44 @@ def test_perfbench_slrkit_names_exist():
         if module_name == "slrkit":  # ``from slrkit import corpus`` names a submodule
             importlib.import_module(f"slrkit.{name}")
         assert hasattr(module, name), f"{module_name}.{name}"
+
+
+def slrkit_calls(path):
+    """(call node, callee) for each call a script makes to a slrkit function or class."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    imports = slrkit_imports(tree)
+    modules = slrkit_modules(imports)
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        if isinstance(func, ast.Name) and func.id in imports:
+            module_name, name = imports[func.id]
+        elif (
+            isinstance(func, ast.Attribute)
+            and isinstance(func.value, ast.Name)
+            and func.value.id in modules
+        ):
+            module_name, name = modules[func.value.id], func.attr
+        else:
+            continue
+        yield node, getattr(importlib.import_module(module_name), name)
+
+
+def test_perfbench_slrkit_calls_bind_to_signatures():
+    checked = []
+    for path in sorted(PERFBENCH.glob("*.py")):
+        for call, callee in slrkit_calls(path):
+            starred = any(isinstance(a, ast.Starred) for a in call.args)
+            if starred or any(k.arg is None for k in call.keywords):
+                continue  # ``*args`` / ``**kwargs``: the argument count is not known
+            where = f"{path.name}:{call.lineno} {callee.__qualname__}"
+            try:
+                inspect.signature(callee).bind(
+                    *call.args, **{k.arg: k.value for k in call.keywords}
+                )
+            except TypeError as exc:
+                raise AssertionError(f"{where}: {exc}") from None
+            checked.append(where)
+    assert any("cluster_session" in where for where in checked)
+    assert len(checked) >= 20, sorted(checked)
