@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import os
 import sys
 import warnings
 from pathlib import Path
@@ -119,6 +120,26 @@ def _read_segments(path: str) -> list[corpus.SessionHypothesis]:
     return sessions
 
 
+def _refuse_sidecar_outputs(sessions, *outputs: str | None) -> None:
+    """Reject an output path that is a sidecar the sessions' embeddings come from.
+
+    Relabeled records keep their ``embedding_ref``, so writing over that
+    sidecar would leave them pointing at something else.
+    """
+    sidecars = {
+        seg.embedding_ref[0]
+        for session in sessions
+        for seg in session.segments
+        if seg.embedding_ref is not None
+    }
+    for out in outputs:
+        if sidecars and out and str(Path(out).resolve()) in sidecars:
+            raise ValueError(
+                f"{out} is the embedding sidecar the segments read from; "
+                "writing it would lose their embeddings"
+            )
+
+
 def _cmd_reassign(args) -> int:
     if args.report and not args.reference:
         raise UsageError("--report needs --reference: without it nothing is scored")
@@ -128,11 +149,13 @@ def _cmd_reassign(args) -> int:
         num_speakers=parse_num_speakers(args.num_speakers),
     )
     sessions = _read_segments(args.segments)
+    _refuse_sidecar_outputs(sessions, args.out, args.report)
     refs = None
     if args.reference:
         references = corpus.parse_reference(args.reference)
         refs = pipeline.references_by_session(sessions, references)
 
+    out_dir = os.path.dirname(args.out)
     out_lines: list[str] = []
     report_lines: list[str] = []
     for index, session in enumerate(sessions):
@@ -141,7 +164,7 @@ def _cmd_reassign(args) -> int:
             session, reference, cfg, seed=pipeline.session_seed(args.seed, index)
         )
         buf = io.StringIO()
-        corpus.write_assignment(session, assignment, buf)
+        corpus.write_assignment(session, assignment, buf, ref_dir=out_dir)
         out_lines.append(buf.getvalue())
         if reference is not None:
             report_lines.append(
@@ -195,14 +218,20 @@ def _cmd_cpwer(args) -> int:
 def _cmd_oracle(args) -> int:
     references = corpus.parse_reference(args.reference)
     sessions = _read_segments(args.segments)
+    _refuse_sidecar_outputs(sessions, args.out)
     refs = pipeline.references_by_session(sessions, references)
+    out_dir = os.path.dirname(args.out)
     out_lines = []
     for session in sessions:
         reference = refs[session.session_id]
         assignment, report = oracle_assignment(session, reference, args.mode)
         buf = io.StringIO()
         corpus.write_assignment(
-            session, assignment, buf, label_names=list(reference.per_speaker)
+            session,
+            assignment,
+            buf,
+            label_names=list(reference.per_speaker),
+            ref_dir=out_dir,
         )
         out_lines.append(buf.getvalue())
         print(_score_line(session.session_id, report))

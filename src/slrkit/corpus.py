@@ -11,11 +11,12 @@ from __future__ import annotations
 
 import io
 import json
+import os
 import re
 import struct
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -41,6 +42,9 @@ class Segment:
     initial_speaker: str
     words: tuple[str, ...]
     embedding: np.ndarray
+    # (resolved sidecar path, index) when the embedding was read through
+    # ``embedding_ref``; writers keep the reference instead of the floats
+    embedding_ref: tuple[str, int] | None = None
 
     def __post_init__(self):
         if not self.start >= 0:
@@ -197,30 +201,39 @@ def _iter_json_lines(stream) -> Iterator[tuple[int, dict]]:
 
 
 class _SidecarCache:
-    """Lazily opened SLRE sidecar files, resolved relative to a base directory."""
+    """Lazily opened SLRE sidecar files, resolved relative to a base directory.
+
+    Each distinct ``file`` string is resolved once, and each resolved path
+    is read once.
+    """
 
     def __init__(self, base_dir: Path):
         self.base_dir = base_dir
-        self._loaded: dict[Path, np.ndarray] = {}
+        self._paths: dict[str, str] = {}
+        self._loaded: dict[str, np.ndarray] = {}
 
-    def lookup(self, ref: Mapping, lineno: int) -> np.ndarray:
-        try:
-            file_name = ref["file"]
-            index = int(ref["index"])
-        except (KeyError, TypeError, ValueError) as exc:
+    def lookup(self, ref, lineno: int) -> tuple[tuple[str, int], np.ndarray]:
+        """The reference as (resolved path, index), and the embedding it names."""
+        if not isinstance(ref, dict):
+            ref = {}
+        file_name, index = ref.get("file"), ref.get("index")
+        # ``type(...) is int`` also turns away booleans
+        if not (isinstance(file_name, str) and file_name and type(index) is int):
             raise ValueError(
                 f"line {lineno}: embedding_ref needs 'file' and integer 'index'"
-            ) from exc
-        path = (self.base_dir / file_name).resolve()
-        if path not in self._loaded:
-            self._loaded[path] = read_embeddings_sidecar(path)
-        table = self._loaded[path]
+            )
+        path = self._paths.get(file_name)
+        if path is None:
+            path = self._paths[file_name] = str((self.base_dir / file_name).resolve())
+        table = self._loaded.get(path)
+        if table is None:
+            table = self._loaded[path] = read_embeddings_sidecar(path)
         if not 0 <= index < table.shape[0]:
             raise ValueError(
                 f"line {lineno}: embedding_ref index {index} out of range "
                 f"for sidecar with {table.shape[0]} records"
             )
-        return table[index]
+        return (path, index), table[index]
 
 
 def read_embeddings_sidecar(path: str | Path) -> np.ndarray:
@@ -274,10 +287,11 @@ def parse_segments(stream) -> list[SessionHypothesis]:
         missing = [k for k in _SEGMENT_KEYS if k not in record]
         if missing:
             raise ValueError(f"line {lineno}: missing fields {missing}")
+        embedding_ref = None
         if "embedding" in record:
             embedding = record["embedding"]
         elif "embedding_ref" in record:
-            embedding = sidecars.lookup(record["embedding_ref"], lineno)
+            embedding_ref, embedding = sidecars.lookup(record["embedding_ref"], lineno)
         else:
             raise ValueError(f"line {lineno}: missing 'embedding' or 'embedding_ref'")
         try:
@@ -289,6 +303,7 @@ def parse_segments(stream) -> list[SessionHypothesis]:
                 initial_speaker=str(record["speaker"]),
                 words=tokenize(str(record["words"])),
                 embedding=np.asarray(embedding, dtype=np.float64),
+                embedding_ref=embedding_ref,
             )
         except (TypeError, ValueError) as exc:
             raise ValueError(f"line {lineno}: {exc}") from exc
@@ -342,7 +357,7 @@ def parse_reference(stream) -> list[ReferenceTranscript]:
     return transcripts
 
 
-def _dump_record(segment: Segment, speaker: str) -> str:
+def _dump_record(segment: Segment, speaker: str, ref_file: Callable[[str], str]) -> str:
     record = {
         "session_id": segment.session_id,
         "segment_id": segment.segment_id,
@@ -350,9 +365,33 @@ def _dump_record(segment: Segment, speaker: str) -> str:
         "end": segment.end,
         "speaker": speaker,
         "words": " ".join(segment.words),
-        "embedding": segment.embedding.tolist(),
     }
+    if segment.embedding_ref is None:
+        record["embedding"] = segment.embedding.tolist()
+    else:
+        path, index = segment.embedding_ref
+        record["embedding_ref"] = {"file": ref_file(path), "index": index}
     return json.dumps(record)
+
+
+def _ref_files(sink, ref_dir) -> Callable[[str], str]:
+    """Sidecar path -> its name relative to where ``sink``'s records are read from.
+
+    That is ``ref_dir`` when given, else the sink's directory for a path and
+    the working directory for a stream, as in :func:`parse_segments`.  The
+    directory is resolved on first use, so inline-only output never touches
+    the file system.
+    """
+    if ref_dir is None:
+        ref_dir = Path(sink).parent if isinstance(sink, (str, Path)) else "."
+    names: dict[str, str] = {}
+
+    def ref_file(path: str) -> str:
+        if path not in names:
+            names[path] = os.path.relpath(path, Path(ref_dir).resolve())
+        return names[path]
+
+    return ref_file
 
 
 def _write_lines(sink, lines: Iterable[str]) -> None:
@@ -366,8 +405,10 @@ def _write_lines(sink, lines: Iterable[str]) -> None:
 
 def write_segments(session: SessionHypothesis, sink) -> None:
     """Write a session back out with its initial speaker labels."""
+    ref_file = _ref_files(sink, None)
     _write_lines(
-        sink, (_dump_record(seg, seg.initial_speaker) for seg in session.segments)
+        sink,
+        (_dump_record(seg, seg.initial_speaker, ref_file) for seg in session.segments),
     )
 
 
@@ -377,12 +418,17 @@ def write_assignment(
     sink,
     *,
     label_names: Sequence[str] | None = None,
+    ref_dir: str | Path | None = None,
 ) -> None:
     """Write the session with speakers replaced by the assigned cluster labels.
 
     Label ``c`` becomes ``spk<c>`` unless ``label_names`` supplies a name per
     cluster index.  Output round-trips through :func:`parse_segments` with
-    embeddings preserved to full precision.
+    embeddings preserved to full precision: inline embeddings are written as
+    float lists, and segments read through ``embedding_ref`` keep that
+    reference, its file relative to ``ref_dir``.  By default that is the
+    sink's directory for a path and the working directory for a stream; pass
+    the destination's directory when writing to a buffer bound for a file.
     """
     num_labels = len(label_names) if label_names is not None else (
         max(assignment.labels) + 1 if assignment.labels else 0
@@ -394,10 +440,11 @@ def write_assignment(
             return label_names[c]
         return f"spk{c}"
 
+    ref_file = _ref_files(sink, ref_dir)
     _write_lines(
         sink,
         (
-            _dump_record(seg, name(c))
+            _dump_record(seg, name(c), ref_file)
             for seg, c in zip(session.segments, assignment.labels)
         ),
     )

@@ -2,6 +2,7 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from slrkit import cli, corpus
@@ -394,3 +395,130 @@ def test_segments_file_without_records_rejected(
     assert f"no segment records in {empty}" in captured.err
     assert captured.out == ""
     assert not out.exists()
+
+
+def _sidecar_inputs(synth_corpus, inline_every=0):
+    """The demo corpus under ``in/`` with its embeddings in ``in/emb.slre``.
+
+    Returns the sidecar segments file and an inline copy holding the same
+    float32-rounded embeddings.  With ``inline_every`` n > 0, every n-th record
+    of the sidecar file keeps its embedding inline.
+    """
+    in_dir = synth_corpus / "in"
+    in_dir.mkdir(exist_ok=True)
+    records = [
+        json.loads(line)
+        for line in (synth_corpus / "demo.segments.jsonl").read_text().splitlines()
+    ]
+    table = np.array([r.pop("embedding") for r in records], dtype=np.float32)
+    corpus.write_embeddings_sidecar(in_dir / "emb.slre", table)
+    sidecar, inline = [], []
+    for i, (record, embedding) in enumerate(zip(records, table.tolist())):
+        inline.append(json.dumps(dict(record, embedding=embedding)))
+        if inline_every and i % inline_every == 0:
+            sidecar.append(inline[-1])
+        else:
+            sidecar.append(
+                json.dumps(dict(record, embedding_ref={"file": "emb.slre", "index": i}))
+            )
+    paths = in_dir / "segments.jsonl", in_dir / "inline.jsonl"
+    for path, lines in zip(paths, (sidecar, inline)):
+        path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    return paths
+
+
+def _relabel_argv(command, segments, synth_corpus, out):
+    if command == "reassign":
+        return [
+            "reassign", "--segments", str(segments), "--seed", "3", "--out", str(out)
+        ]
+    return [
+        "oracle",
+        "--segments",
+        str(segments),
+        "--reference",
+        str(synth_corpus / "demo.reference.jsonl"),
+        "--mode",
+        "greedy",
+        "--out",
+        str(out),
+    ]
+
+
+@pytest.mark.parametrize("command", ["reassign", "oracle"])
+def test_sidecar_segments_written_back_as_embedding_ref(synth_corpus, command):
+    segments, inline = _sidecar_inputs(synth_corpus)
+    out_dir = synth_corpus / "out"
+    out_dir.mkdir()
+    out, inline_out = out_dir / "x.jsonl", out_dir / "inline.jsonl"
+    assert cli.main(_relabel_argv(command, segments, synth_corpus, out)) == 0
+    assert cli.main(_relabel_argv(command, inline, synth_corpus, inline_out)) == 0
+
+    records = [json.loads(line) for line in out.read_text().splitlines()]
+    assert [r["embedding_ref"] for r in records] == [
+        {"file": "../in/emb.slre", "index": i} for i in range(len(records))
+    ]
+    assert not any("embedding" in r for r in records)
+    before = [seg for s in corpus.parse_segments(segments) for seg in s.segments]
+    after = [seg for s in corpus.parse_segments(out) for seg in s.segments]
+    assert [(s.session_id, s.segment_id, s.start, s.end, s.words) for s in after] == [
+        (s.session_id, s.segment_id, s.start, s.end, s.words) for s in before
+    ]
+    assert [s.embedding.tobytes() for s in after] == [
+        s.embedding.tobytes() for s in before
+    ]
+    inline_records = [json.loads(line) for line in inline_out.read_text().splitlines()]
+    assert [r["speaker"] for r in records] == [r["speaker"] for r in inline_records]
+
+
+@pytest.mark.parametrize("command", ["reassign", "oracle"])
+def test_inline_records_of_mixed_input_stay_inline(synth_corpus, command):
+    segments, _ = _sidecar_inputs(synth_corpus, inline_every=3)
+    out_dir = synth_corpus / "out"
+    out_dir.mkdir()
+    out = out_dir / "x.jsonl"
+    assert cli.main(_relabel_argv(command, segments, synth_corpus, out)) == 0
+    inputs = [seg for s in corpus.parse_segments(segments) for seg in s.segments]
+    lines = out.read_text().splitlines()
+    assert len(lines) == len(inputs) == 24
+    for i, (line, seg) in enumerate(zip(lines, inputs)):
+        record = json.loads(line)
+        if i % 3:
+            assert record["embedding_ref"] == {"file": "../in/emb.slre", "index": i}
+            continue
+        assert line == json.dumps(
+            {
+                "session_id": seg.session_id,
+                "segment_id": seg.segment_id,
+                "start": seg.start,
+                "end": seg.end,
+                "speaker": record["speaker"],
+                "words": " ".join(seg.words),
+                "embedding": [float(v) for v in seg.embedding],
+            }
+        )
+
+
+@pytest.mark.parametrize(
+    "command, flag",
+    [("reassign", "--out"), ("oracle", "--out"), ("reassign", "--report")],
+)
+def test_output_onto_own_sidecar_rejected_before_writing(
+    synth_corpus, capsys, command, flag
+):
+    segments, _ = _sidecar_inputs(synth_corpus)
+    sidecar = synth_corpus / "in" / "emb.slre"
+    saved = sidecar.read_bytes()
+    target = synth_corpus / "in" / ".." / "in" / "emb.slre"
+    if flag == "--out":
+        argv = _relabel_argv(command, segments, synth_corpus, target)
+    else:
+        argv = _relabel_argv(command, segments, synth_corpus, synth_corpus / "x.jsonl")
+        argv += ["--reference", str(synth_corpus / "demo.reference.jsonl")]
+        argv += ["--report", str(target)]
+    assert cli.main(argv) == 1
+    captured = capsys.readouterr()
+    assert f"{target} is the embedding sidecar the segments read from" in captured.err
+    assert captured.out == ""
+    assert sidecar.read_bytes() == saved
+    assert not (synth_corpus / "x.jsonl").exists()

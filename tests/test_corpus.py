@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from slrkit import corpus
+from slrkit import cli, corpus
 
 
 def seg_record(**overrides):
@@ -198,8 +198,9 @@ def test_round_trip_preserves_embeddings_bitwise():
 
 
 def test_write_assignment_bytes_match_per_element_serialization(tmp_path):
-    # ``embedding.tolist()`` must write the bytes the per-element ``float(v)``
-    # list wrote, for float32-origin (sidecar) and float64 embeddings
+    # inline float64 embeddings: ``embedding.tolist()`` must write the bytes the
+    # per-element ``float(v)`` list wrote; sidecar-read segments keep their
+    # ``embedding_ref``, the file named relative to ``ref_dir``
     rng = np.random.default_rng(5)
     corpus.write_embeddings_sidecar(tmp_path / "emb.slre", rng.standard_normal((6, 9)))
     records = []
@@ -216,7 +217,9 @@ def test_write_assignment_bytes_match_per_element_serialization(tmp_path):
     (session,) = corpus.parse_segments(path)
     labels = tuple(i % 3 for i in range(12))
     out = io.StringIO()
-    corpus.write_assignment(session, corpus.LabelAssignment("s1", labels), out)
+    corpus.write_assignment(
+        session, corpus.LabelAssignment("s1", labels), out, ref_dir=tmp_path
+    )
     expected = [
         json.dumps(
             {
@@ -229,7 +232,13 @@ def test_write_assignment_bytes_match_per_element_serialization(tmp_path):
                 "embedding": [float(v) for v in seg.embedding],
             }
         )
-        for seg, label in zip(session.segments, labels)
+        if i % 2
+        else (
+            f'{{"session_id": "s1", "segment_id": "seg{i}", "start": {float(i)}, '
+            f'"end": {i + 0.5}, "speaker": "spk{label}", "words": "hello world", '
+            f'"embedding_ref": {{"file": "emb.slre", "index": {i // 2}}}}}'
+        )
+        for i, (seg, label) in enumerate(zip(session.segments, labels))
     ]
     assert out.getvalue() == "".join(line + "\n" for line in expected)
 
@@ -305,6 +314,33 @@ def test_sidecar_index_out_of_range(tmp_path):
     path.write_bytes(lines(record))
     with pytest.raises(ValueError, match="out of range"):
         corpus.parse_segments(path)
+
+
+@pytest.mark.parametrize(
+    "ref",
+    [
+        {"file": "emb.slre", "index": 1.7},
+        {"file": "emb.slre", "index": True},
+        {"file": "emb.slre", "index": "2"},
+        {"file": 5, "index": 0},
+        {"file": ["emb.slre"], "index": 0},
+        {"file": "", "index": 0},
+    ],
+    ids=["float-index", "bool-index", "str-index", "int-file", "list-file", "no-file"],
+)
+def test_malformed_embedding_ref_names_its_line(tmp_path, capsys, ref):
+    corpus.write_embeddings_sidecar(tmp_path / "emb.slre", np.ones((3, 2)))
+    good = seg_record(segment_id="a", embedding_ref={"file": "emb.slre", "index": 0})
+    bad = seg_record(segment_id="b", start=3.0, end=4.0, embedding_ref=ref)
+    del good["embedding"], bad["embedding"]
+    path = tmp_path / "segments.jsonl"
+    path.write_bytes(lines(good, bad))
+    message = "line 2: embedding_ref needs 'file' and integer 'index'"
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        corpus.parse_segments(path)
+    argv = ["reassign", "--segments", str(path), "--out", str(tmp_path / "out.jsonl")]
+    assert cli.main(argv) == 1
+    assert f"validation error: {message}" in capsys.readouterr().err
 
 
 def test_assignment_validation():

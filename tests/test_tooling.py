@@ -4,23 +4,46 @@ import ast
 import importlib
 import importlib.util
 import inspect
+import json
 import sys
 from pathlib import Path
+
+from slrkit import cli
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 TRACING = PERFBENCH / "tracing.py"
 
 
+def load_script(monkeypatch, name, path):
+    """Import a benchmark script as module ``name`` for the length of a test."""
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)
+    spec.loader.exec_module(module)
+    return module
+
+
 def test_tracer_targets_exist(monkeypatch):
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
-    tracing = importlib.util.module_from_spec(spec)
-    monkeypatch.setitem(sys.modules, spec.name, tracing)
-    spec.loader.exec_module(tracing)
+    tracing = load_script(monkeypatch, "perfbench_tracing", TRACING)
     assert tracing.TARGETS
     for module_name, function_name, _ in tracing.TARGETS:
         module = importlib.import_module(f"slrkit.{module_name}")
         function = getattr(module, function_name, None)
         assert callable(function), f"slrkit.{module_name}.{function_name}"
+
+
+def test_relabel_output_passes_the_benchmark_check(tmp_path, monkeypatch):
+    # ``checks`` imports ``workloads`` by its bare name, as ``run.py`` does
+    workloads = load_script(monkeypatch, "workloads", PERFBENCH / "workloads.py")
+    checks = load_script(monkeypatch, "perfbench_checks", PERFBENCH / "checks.py")
+    workload = workloads.WORKLOADS["relabel"]
+    workloads.write_inputs(workload, 1, tmp_path)
+    assert cli.main(workload.argv(tmp_path, 1)) == 0
+    first = json.loads((tmp_path / workloads.OUT).read_text().splitlines()[0])
+    assert first["embedding_ref"] == {"file": workloads.SIDECAR, "index": 0}
+    outcome = checks.check(workload, tmp_path, 1)
+    assert not outcome.failed, outcome.problems
+    assert outcome.cpwer_after > 0
 
 
 def slrkit_imports(tree):
