@@ -14,7 +14,6 @@ import io
 import json
 import os
 import sys
-import warnings
 from pathlib import Path
 
 from . import corpus, metrics, pipeline
@@ -120,24 +119,33 @@ def _read_segments(path: str) -> list[corpus.SessionHypothesis]:
     return sessions
 
 
-def _refuse_sidecar_outputs(sessions, *outputs: str | None) -> None:
-    """Reject an output path that is a sidecar the sessions' embeddings come from.
+def _refuse_overwrites(args, sessions, *outputs: str) -> None:
+    """Reject an output path that is an input, another output, or a sidecar read.
 
-    Relabeled records keep their ``embedding_ref``, so writing over that
-    sidecar would leave them pointing at something else.
+    The inputs are ``--segments`` and ``--reference``, and ``outputs`` names
+    the command's output flags; unset flags are skipped and paths compare
+    resolved.  Relabeled records keep their ``embedding_ref``, so writing
+    over a sidecar the sessions read from would leave them pointing at
+    something else.  Each command calls this once, before it writes anything.
     """
-    sidecars = {
-        seg.embedding_ref[0]
+    sidecar = "the embedding sidecar the segments read from (--segments)"
+    taken = {
+        seg.embedding_ref[0]: sidecar
         for session in sessions
         for seg in session.segments
         if seg.embedding_ref is not None
     }
-    for out in outputs:
-        if sidecars and out and str(Path(out).resolve()) in sidecars:
-            raise ValueError(
-                f"{out} is the embedding sidecar the segments read from; "
-                "writing it would lose their embeddings"
-            )
+    for kind, names in (("input", ("segments", "reference")), ("output", outputs)):
+        for name in names:
+            path = getattr(args, name)
+            if path is None:
+                continue
+            resolved = os.path.realpath(path)
+            if kind == "output" and resolved in taken:
+                raise ValueError(
+                    f"--{name} {path} is {taken[resolved]}; refusing to overwrite it"
+                )
+            taken.setdefault(resolved, f"the --{name} {kind}")
 
 
 def _cmd_reassign(args) -> int:
@@ -149,7 +157,7 @@ def _cmd_reassign(args) -> int:
         num_speakers=parse_num_speakers(args.num_speakers),
     )
     sessions = _read_segments(args.segments)
-    _refuse_sidecar_outputs(sessions, args.out, args.report)
+    _refuse_overwrites(args, sessions, "out", "report")
     refs = None
     if args.reference:
         references = corpus.parse_reference(args.reference)
@@ -218,7 +226,7 @@ def _cmd_cpwer(args) -> int:
 def _cmd_oracle(args) -> int:
     references = corpus.parse_reference(args.reference)
     sessions = _read_segments(args.segments)
-    _refuse_sidecar_outputs(sessions, args.out)
+    _refuse_overwrites(args, sessions, "out")
     refs = pipeline.references_by_session(sessions, references)
     out_dir = os.path.dirname(args.out)
     out_lines = []
@@ -243,6 +251,7 @@ def _cmd_report(args) -> int:
     alphas, betas = pipeline.parse_sweep(args.sweep)
     refs = corpus.parse_reference(args.reference)
     sessions = _read_segments(args.segments)
+    _refuse_overwrites(args, sessions, "out")
     rows = pipeline.run_report(sessions, refs, alphas, betas, args.seed)
     Path(args.out).write_text(
         "".join(json.dumps(row) + "\n" for row in rows), encoding="utf-8"
@@ -305,9 +314,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        with warnings.catch_warnings():
-            warnings.simplefilter("default")
-            return _COMMANDS[args.command](args)
+        return _COMMANDS[args.command](args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

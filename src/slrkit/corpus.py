@@ -15,6 +15,7 @@ import os
 import re
 import struct
 from dataclasses import dataclass
+from operator import attrgetter
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -93,7 +94,8 @@ class Segment:
 
 @dataclass(frozen=True, eq=False)
 class SessionHypothesis:
-    """All segments of one meeting plus the speaker count of the initial diarization."""
+    """All segments of one meeting in stream order (ascending start, ties by
+    segment id), plus the speaker count of the initial diarization."""
 
     session_id: str
     segments: tuple[Segment, ...]
@@ -112,12 +114,19 @@ class SessionHypothesis:
                 f"session {self.session_id!r}: num_speakers "
                 f"({self.num_speakers}) exceeds segment count ({len(self.segments)})"
             )
+        previous = self.segments[0]
         for seg in self.segments:
             if seg.session_id != self.session_id:
                 raise ValueError(
                     f"session {self.session_id!r}: segment {seg.segment_id!r} "
                     f"belongs to session {seg.session_id!r}"
                 )
+            if (seg.start, seg.segment_id) < (previous.start, previous.segment_id):
+                raise ValueError(
+                    f"session {self.session_id!r}: segment {seg.segment_id!r} "
+                    "is out of stream order (start, then segment id)"
+                )
+            previous = seg
         dims = {seg.embedding.shape[0] for seg in self.segments}
         if len(dims) != 1:
             raise ValueError(
@@ -156,7 +165,7 @@ class ReferenceTranscript:
 
 @dataclass(frozen=True)
 class LabelAssignment:
-    """Cluster label per segment, aligned with the parsed segment order."""
+    """Cluster label per segment, aligned with the session's segments (stream order)."""
 
     session_id: str
     labels: tuple[int, ...]
@@ -263,15 +272,17 @@ def write_embeddings_sidecar(path: str | Path, embeddings: np.ndarray) -> None:
 
 
 _SEGMENT_KEYS = ("session_id", "segment_id", "start", "end", "speaker", "words")
+_SEGMENT_ONLY_KEYS = {"segment_id", "start", "end", "embedding", "embedding_ref"}
 
 
 def parse_segments(stream) -> list[SessionHypothesis]:
     """Parse line-delimited segment records into sessions.
 
-    Segments are grouped by ``session_id`` in file order.  A session's
-    speaker count is the number of its distinct initial labels.  Sidecar
-    files named by ``embedding_ref`` resolve relative to the segments file
-    when ``stream`` is a path, and to the working directory otherwise.
+    Segments are grouped by ``session_id`` and sorted into stream order.  A
+    session's speaker count is the number of its distinct initial labels.
+    Sidecar files named by ``embedding_ref`` resolve relative to the
+    segments file when ``stream`` is a path, and to the working directory
+    otherwise.
 
     Raises ``ValueError`` with the offending line number for malformed
     records, segment ids repeated within a session, zero-norm embeddings,
@@ -320,7 +331,7 @@ def parse_segments(stream) -> list[SessionHypothesis]:
         sessions.append(
             SessionHypothesis(
                 session_id=session_id,
-                segments=tuple(segments),
+                segments=tuple(sorted(segments, key=attrgetter("start", "segment_id"))),
                 num_speakers=len({seg.initial_speaker for seg in segments}),
             )
         )
@@ -330,14 +341,22 @@ def parse_segments(stream) -> list[SessionHypothesis]:
 def parse_reference(stream) -> list[ReferenceTranscript]:
     """Parse line-delimited reference records, concatenating per (session, speaker).
 
-    Raises ``ValueError`` naming the session when a reference speaker ends
-    up with no words.
+    Raises ``ValueError`` naming the line of a record that carries a field
+    only segment records have, such as ``start`` (a segments file passed as
+    the reference), and naming the session when a reference speaker ends up
+    with no words.  Other unknown fields are ignored.
     """
     per_session: dict[str, dict[str, tuple[str, ...]]] = {}
     for lineno, record in _iter_json_lines(stream):
         missing = [k for k in ("session_id", "speaker", "words") if k not in record]
         if missing:
             raise ValueError(f"line {lineno}: missing fields {missing}")
+        segment_keys = record.keys() & _SEGMENT_ONLY_KEYS
+        if segment_keys:
+            raise ValueError(
+                f"line {lineno}: reference record carries segment fields "
+                f"{sorted(segment_keys)}"
+            )
         session_id = str(record["session_id"])
         speaker = str(record["speaker"])
         words = tokenize(str(record["words"]))

@@ -10,9 +10,9 @@ popcounts of its vertical deltas when the pass ends.  Where every DP value
 of a column is needed, it is decoded in one layout, row 0 first; the values
 of pattern suffixes come from a column run backwards, read back to front.
 
-For cpWER, the words of each speaker are concatenated on both sides, the
-smaller side is padded with empty dummy speakers, and the speaker pairing
-that minimizes the total word errors is found with the Hungarian algorithm.
+For cpWER, each speaker's words are joined in stream order on both sides,
+the smaller side is padded with empty dummy speakers, and the pairing that
+minimizes the total word errors is found with the Hungarian algorithm.
 A brute-force permutation search is provided as an independent check of the
 pairing; both pick from the same cost matrix and one function builds the
 report from either.  The split of the errors into substitutions, deletions
@@ -388,14 +388,6 @@ def brute_force_cpwer(
     return _scored(reference, hypothesis, best_permutation)
 
 
-def segment_order(session: SessionHypothesis) -> list[int]:
-    """Indices of the session's segments in stream order: ascending start, ties by segment id."""
-    return sorted(
-        range(len(session.segments)),
-        key=lambda i: (session.segments[i].start, session.segments[i].segment_id),
-    )
-
-
 def assignment_streams(
     session: SessionHypothesis,
     assignment: LabelAssignment,
@@ -411,8 +403,8 @@ def assignment_streams(
         )
     assignment.validate_for(session, num_clusters)
     streams: list[list[str]] = [[] for _ in range(num_clusters)]
-    for idx in segment_order(session):
-        streams[assignment.labels[idx]].extend(session.segments[idx].words)
+    for seg, label in zip(session.segments, assignment.labels):
+        streams[label].extend(seg.words)
     if label_names is None:
         label_names = [f"spk{c}" for c in range(num_clusters)]
     return {label_names[c]: tuple(streams[c]) for c in range(num_clusters)}
@@ -428,8 +420,8 @@ def cpwer_from_segments(
 ) -> CpWerReport:
     """cpWER of a session under a label assignment.
 
-    Hypothesis streams concatenate segment words per assigned cluster in
-    ascending start time (ties broken by segment id).
+    Hypothesis streams concatenate segment words per assigned cluster in the
+    session's stream order.
     """
     hyp = assignment_streams(session, assignment, num_clusters, label_names)
     return cpwer(reference, hyp)

@@ -2,6 +2,7 @@
 
 The oracle labels each segment with the reference speaker that minimizes the
 session cpWER; it lower-bounds what any reassignment method can reach.
+Segments are taken in the session's stream order, as cpWER joins them.
 Label ``c`` is reference speaker ``c``, so both modes minimize the diagonal
 objective, the sum over ``c`` of D(ref_c, stream_c), with no speaker
 permutation search of their own.  Exact mode enumerates every assignment
@@ -44,7 +45,6 @@ from .metrics import (
     _myers,
     _packed_masks,
     cpwer_from_segments,
-    segment_order,
     token_distance,
 )
 
@@ -104,13 +104,13 @@ def _exact_search(
 ) -> tuple[int, list[int]]:
     """Minimum total edit cost over all segment-to-speaker assignments.
 
-    Segments are consumed in stream order so each partial assignment extends
-    the per-speaker kernel columns in place.  A completion costs at least the
-    column minima plus, per remaining segment, its cheapest free-end-gap
-    cost: the rest of reference ``c`` splits into one window per segment
-    that cluster ``c`` still receives.  Pruning at that bound only when it
-    reaches the best cost so far preserves the lexicographically smallest
-    minimizing assignment.
+    Segments are consumed in the given (stream) order, so each partial
+    assignment extends the per-speaker kernel columns in place.  A completion
+    costs at least the column minima plus, per remaining segment, its
+    cheapest free-end-gap cost: the rest of reference ``c`` splits into one
+    window per segment that cluster ``c`` still receives.  Pruning at that
+    bound only when it reaches the best cost so far preserves the
+    lexicographically smallest minimizing assignment.
     """
     k = len(refs)
     num_segments = len(segments)
@@ -348,20 +348,16 @@ def oracle_assignment(
     if any(len(speakers) != len(session.segments) for speakers, _ in starts):
         raise ValueError("each oracle start needs one speaker per segment")
 
-    order = segment_order(session)
     refs = [tuple(reference.per_speaker[l]) for l in ref_labels]
-    segments = [tuple(session.segments[i].words) for i in order]
+    segments = [seg.words for seg in session.segments]
     index = {label: c for c, label in enumerate(ref_labels)}
 
     def mapped(speakers: Sequence[str], report: CpWerReport) -> list[int | None]:
-        """Reference index per segment in stream order, ``None`` where unmapped."""
-        return [index.get(report.mapping.get(speakers[i])) for i in order]
+        """Reference index per segment, ``None`` where unmapped."""
+        return [index.get(report.mapping.get(speaker)) for speaker in speakers]
 
-    def scored(ordered: list[int]) -> tuple[LabelAssignment, CpWerReport]:
-        labels = [0] * len(session.segments)
-        for position, segment_index in enumerate(order):
-            labels[segment_index] = ordered[position]
-        assignment = LabelAssignment(session_id=session.session_id, labels=tuple(labels))
+    def scored(labels: list[int]) -> tuple[LabelAssignment, CpWerReport]:
+        assignment = LabelAssignment(session_id=session.session_id, labels=labels)
         return assignment, cpwer_from_segments(
             reference, session, assignment, num_clusters=k, label_names=ref_labels
         )
@@ -372,7 +368,7 @@ def oracle_assignment(
                 f"exact oracle over budget: {k}^{len(segments)} > "
                 f"{EXACT_SEARCH_BUDGET}; use greedy mode"
             )
-        cost, ordered_labels = _exact_search(segments, refs)
+        cost, labels = _exact_search(segments, refs)
     else:
         start = start_cost = None
         if starts:
@@ -381,13 +377,13 @@ def oracle_assignment(
             if None not in start:
                 # each reference's stream is that of the speaker paired with it
                 start_cost = report.errors
-        cost, ordered_labels = _greedy_search(segments, refs, start, start_cost)
+        cost, labels = _greedy_search(segments, refs, start, start_cost)
 
-    assignment, report = scored(ordered_labels)
+    assignment, report = scored(labels)
     while report.errors < cost:
         speakers = [ref_labels[c] for c in assignment.labels]
-        cost, ordered_labels = _descend(segments, refs, mapped(speakers, report))
-        assignment, report = scored(ordered_labels)
+        cost, labels = _descend(segments, refs, mapped(speakers, report))
+        assignment, report = scored(labels)
     assert report.errors == cost
     return assignment, report
 

@@ -11,7 +11,7 @@ import numpy as np
 from .affinity import AttenuationConfig
 from .corpus import LabelAssignment, ReferenceTranscript, SessionHypothesis, Segment
 from .kmeans import kmeans_pp, unit_normalize
-from .metrics import CpWerReport, cpwer, cpwer_from_segments, segment_order
+from .metrics import CpWerReport, cpwer, cpwer_from_segments
 from .oracle import exact_fits_budget, oracle_assignment, relative_confusion_error
 from .spectral import spectral_cluster
 
@@ -53,8 +53,7 @@ def session_seed(master_seed: int, session_index: int) -> int:
 def initial_speaker_streams(session: SessionHypothesis) -> dict[str, tuple[str, ...]]:
     """Per-speaker word streams under the initial labels, in stream order."""
     streams: dict[str, list[str]] = {}
-    for idx in segment_order(session):
-        seg = session.segments[idx]
+    for seg in session.segments:
         streams.setdefault(seg.initial_speaker, []).extend(seg.words)
     return {label: tuple(words) for label, words in streams.items()}
 

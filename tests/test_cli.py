@@ -1,11 +1,18 @@
 """CLI subcommands, exit codes, and output determinism."""
 
+import io
 import json
+import tempfile
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from slrkit import cli, corpus
+from slrkit.pipeline import DurationBucket, SynthSpec, generate_session
 
 
 SPEC = {
@@ -522,3 +529,136 @@ def test_output_onto_own_sidecar_rejected_before_writing(
     assert captured.out == ""
     assert sidecar.read_bytes() == saved
     assert not (synth_corpus / "x.jsonl").exists()
+
+
+def _files(directory):
+    return {p: p.read_bytes() for p in directory.rglob("*") if p.is_file()}
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (
+            "reassign --segments {S} --reference {R} --out {X} --report {X}",
+            "--report {X} is the --out output",
+        ),
+        (
+            "reassign --segments {S} --reference {R} --out {R}",
+            "--out {R} is the --reference input",
+        ),
+        ("oracle --segments {S} --reference {R} --out {S}", "--out {S} is the --segments input"),
+        ("report --segments {S} --reference {R} --out {R}", "--out {R} is the --reference input"),
+        (
+            "report --segments {E} --reference {R} --out {D}/in/emb.slre",
+            "--out {D}/in/emb.slre is the embedding sidecar the segments read from",
+        ),
+    ],
+    ids=[
+        "reassign-report-is-out",
+        "reassign-out-is-reference",
+        "oracle-out-is-segments",
+        "report-out-is-reference",
+        "report-out-is-sidecar",
+    ],
+)
+def test_output_onto_input_or_other_output_rejected_before_writing(
+    synth_corpus, capsys, argv, message
+):
+    sidecar_segments, _ = _sidecar_inputs(synth_corpus)
+    names = {
+        "S": synth_corpus / "demo.segments.jsonl",
+        "R": synth_corpus / "demo.reference.jsonl",
+        "E": sidecar_segments,
+        "X": synth_corpus / "x.jsonl",
+        "D": synth_corpus,
+    }
+    before = _files(synth_corpus)
+    assert cli.main(argv.format(**names).split()) == 1
+    captured = capsys.readouterr()
+    assert message.format(**names) in captured.err
+    assert captured.out == ""
+    assert _files(synth_corpus) == before
+
+
+def test_reference_that_is_a_segments_file_rejected(synth_corpus, capsys):
+    segments = str(synth_corpus / "demo.segments.jsonl")
+    assert cli.main(["cpwer", "--reference", segments, "--hyp", segments]) == 1
+    captured = capsys.readouterr()
+    assert "line 1: reference record carries segment fields" in captured.err
+    assert captured.out == ""
+
+
+def test_kmeans_attenuation_warning_follows_the_callers_filters(synth_corpus, capsys):
+    argv = [
+        "reassign",
+        "--segments",
+        str(synth_corpus / "demo.segments.jsonl"),
+        "--algorithm",
+        "kmeans",
+        "--attenuation",
+        "step:0.5",
+        "--out",
+        str(synth_corpus / "x.jsonl"),
+    ]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        assert cli.main(argv) == 0
+    assert capsys.readouterr().err == ""
+
+
+PERMUTED_SPEC = SynthSpec(
+    num_speakers=4,
+    dim=8,
+    min_angle_deg=50.0,
+    buckets=(
+        DurationBucket(10, 8.0, 15.0, 0.05),
+        DurationBucket(14, 0.5, 1.9, 0.5),
+    ),
+    words_per_segment=(2, 4),
+    corruption=0.3,
+    confusion=0.3,
+    noise_correlation=0.9,
+    shared_vocabulary=True,
+    vocab_size=15,
+)
+
+
+@pytest.mark.parametrize(
+    "algorithm, attenuation",
+    [("kmeans", "none"), ("sc", "none"), ("sc", "step:0.25"), ("sc", "poly:4")],
+)
+@settings(max_examples=15, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    order=st.permutations(range(PERMUTED_SPEC.total_segments)),
+)
+def test_reassign_output_independent_of_record_order(algorithm, attenuation, seed, order):
+    session, reference, _ = generate_session(PERMUTED_SPEC, seed)
+    buf = io.StringIO()
+    corpus.write_segments(session, buf)
+    records = buf.getvalue().splitlines(keepends=True)
+    outputs = []
+    with tempfile.TemporaryDirectory() as tmp:
+        d = Path(tmp)
+        corpus.write_reference(reference, d / "ref.jsonl")
+        for name, lines in (("file", records), ("shuffled", [records[i] for i in order])):
+            (d / f"{name}.jsonl").write_text("".join(lines), encoding="utf-8")
+            argv = [
+                "reassign", "--segments", str(d / f"{name}.jsonl"),
+                "--algorithm", algorithm, "--attenuation", attenuation, "--seed", "5",
+                "--reference", str(d / "ref.jsonl"),
+                "--out", str(d / f"{name}.out.jsonl"),
+                "--report", str(d / f"{name}.report.jsonl"),
+            ]
+            assert cli.main(argv) == 0
+            out = (d / f"{name}.out.jsonl").read_text(encoding="utf-8")
+            speakers = {
+                r["segment_id"]: r["speaker"] for r in map(json.loads, out.splitlines())
+            }
+            report = (d / f"{name}.report.jsonl").read_text(encoding="utf-8")
+            outputs.append((speakers, report, out))
+    (speakers, report, out), (shuffled_speakers, shuffled_report, shuffled_out) = outputs
+    assert shuffled_speakers == speakers
+    assert shuffled_report == report
+    # both are written in stream order
+    assert shuffled_out == out

@@ -243,6 +243,26 @@ def test_write_assignment_bytes_match_per_element_serialization(tmp_path):
     assert out.getvalue() == "".join(line + "\n" for line in expected)
 
 
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("segment_id", "a"),
+        ("start", 0.0),
+        ("end", 2.5),
+        ("embedding", [1.0, 2.0]),
+        ("embedding_ref", {"file": "emb.slre", "index": 0}),
+    ],
+)
+def test_reference_rejects_segment_records(key, value):
+    ref = {"session_id": "s1", "speaker": "A", "words": "a b"}
+    records = lines(ref, {**ref, key: value})
+    with pytest.raises(ValueError, match=f"line 2: .*segment fields \\['{key}'\\]"):
+        corpus.parse_reference(records)
+    # other unknown keys are allowed
+    (parsed,) = corpus.parse_reference(lines({**ref, "channel": 3}))
+    assert parsed.per_speaker == {"A": ("a", "b")}
+
+
 def test_segment_order_preserved_end_to_end():
     rng = np.random.default_rng(1)
     ids = [f"seg{i}" for i in rng.permutation(20)]

@@ -5,12 +5,20 @@ program kept here, outside the package, so that ``brute_force_cpwer`` and the
 exact oracle, which share the kernel, are not the only check on it.
 """
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from slrkit.corpus import LabelAssignment, ReferenceTranscript, Segment, SessionHypothesis
+from slrkit.corpus import (
+    LabelAssignment,
+    ReferenceTranscript,
+    Segment,
+    SessionHypothesis,
+    parse_segments,
+)
 from slrkit.metrics import (
     CpWerReport,
     _Column,
@@ -636,28 +644,40 @@ def test_cpwer_from_segments_confusion_counted_twice():
     assert sum(c.insertions for c in totals.values()) == 2
 
 
-def test_cpwer_from_segments_orders_by_start_then_id():
-    session = make_session(
-        ["c d", "a b"],
-        ["x", "x"],
-        starts=[5.0, 1.0],
-    )
+# "c d" is listed first but belongs second: by start, or on a tied start by id
+OUT_OF_ORDER = [([5.0, 1.0], ["seg0", "seg1"]), ([1.0, 1.0], ["zz", "aa"])]
+
+
+@pytest.mark.parametrize("starts, ids", OUT_OF_ORDER, ids=["start", "tied-start"])
+def test_session_rejects_segments_out_of_stream_order(starts, ids):
+    with pytest.raises(
+        ValueError, match=f"session 's': segment '{ids[1]}' is out of stream order"
+    ):
+        make_session(["c d", "a b"], ["x", "x"], starts=starts, ids=ids)
+
+
+@pytest.mark.parametrize("starts, ids", OUT_OF_ORDER, ids=["start", "tied-start"])
+def test_parsed_segments_are_in_stream_order(starts, ids):
+    records = [
+        json.dumps(
+            {
+                "session_id": "s",
+                "segment_id": segment_id,
+                "start": start,
+                "end": start + 0.5,
+                "speaker": "x",
+                "words": words,
+                "embedding": [1.0, 0.0],
+            }
+        )
+        for words, start, segment_id in zip(["c d", "a b"], starts, ids)
+    ]
+    (session,) = parse_segments("\n".join(records).encode())
+    assert [seg.segment_id for seg in session.segments] == ids[::-1]
     ref = ReferenceTranscript(session_id="s", per_speaker={"A": toks("a b c d")})
     report = cpwer_from_segments(
         ref, session, LabelAssignment(session_id="s", labels=(0, 0))
     )
-    assert report.cpwer == 0.0
-
-    tied = make_session(
-        ["c d", "a b"],
-        ["x", "x"],
-        starts=[1.0, 1.0],
-        ids=["zz", "aa"],
-    )
-    report = cpwer_from_segments(
-        ref, tied, LabelAssignment(session_id="s", labels=(0, 0))
-    )
-    # tie on start resolves by segment id: "aa" first
     assert report.cpwer == 0.0
 
 

@@ -15,7 +15,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from slrkit.corpus import LabelAssignment, ReferenceTranscript, Segment, SessionHypothesis
-from slrkit.metrics import _advance, _match_masks, cpwer_from_segments, segment_order
+from slrkit.metrics import _advance, _match_masks, cpwer_from_segments
 from slrkit import oracle
 from slrkit.oracle import (
     _free_end_gap_costs,
@@ -370,7 +370,7 @@ def test_exact_search_matches_plain_enumeration():
     # score them with the full edit-distance path
     import itertools
 
-    from slrkit.metrics import edit_distance, segment_order
+    from slrkit.metrics import edit_distance
 
     rng = np.random.default_rng(4)
     for _ in range(15):
@@ -378,14 +378,13 @@ def test_exact_search_matches_plain_enumeration():
         _, report = oracle_assignment(session, ref, "exact")
 
         names = list(ref.per_speaker)
-        order = segment_order(session)
         best = None
-        for assignment in itertools.product(range(len(names)), repeat=len(order)):
+        for assignment in itertools.product(
+            range(len(names)), repeat=len(session.segments)
+        ):
             streams = {name: [] for name in names}
-            for position, segment_index in enumerate(order):
-                streams[names[assignment[position]]].extend(
-                    session.segments[segment_index].words
-                )
+            for label, seg in zip(assignment, session.segments):
+                streams[names[label]].extend(seg.words)
             total = sum(
                 edit_distance(ref.per_speaker[name], streams[name]).total
                 for name in names
@@ -477,7 +476,7 @@ def full_stream_greedy(segments, refs, moves=None, start=None):
 
 
 def stream_inputs(session, ref):
-    segments = [tuple(session.segments[i].words) for i in segment_order(session)]
+    segments = [seg.words for seg in session.segments]
     return segments, [tuple(words) for words in ref.per_speaker.values()]
 
 
@@ -508,8 +507,7 @@ def greedy_cases():
         )
         session, ref, truth = generate_session(spec, int(rng.integers(2**32)))
         start = [
-            None if position % 3 == 0 else truth.labels[i]
-            for position, i in enumerate(segment_order(session))
+            None if i % 3 == 0 else label for i, label in enumerate(truth.labels)
         ]
         yield (*stream_inputs(session, ref), start)
     for segments, refs, start in (

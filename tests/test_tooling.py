@@ -8,6 +8,8 @@ import json
 import sys
 from pathlib import Path
 
+import pytest
+
 from slrkit import cli
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -32,15 +34,17 @@ def test_tracer_targets_exist(monkeypatch):
         assert callable(function), f"slrkit.{module_name}.{function_name}"
 
 
-def test_relabel_output_passes_the_benchmark_check(tmp_path, monkeypatch):
+@pytest.mark.parametrize("name", ["relabel", "evaluate", "sweep"])
+def test_workload_output_passes_the_benchmark_check(tmp_path, monkeypatch, name):
     # ``checks`` imports ``workloads`` by its bare name, as ``run.py`` does
     workloads = load_script(monkeypatch, "workloads", PERFBENCH / "workloads.py")
     checks = load_script(monkeypatch, "perfbench_checks", PERFBENCH / "checks.py")
-    workload = workloads.WORKLOADS["relabel"]
+    workload = workloads.WORKLOADS[name]
     workloads.write_inputs(workload, 1, tmp_path)
     assert cli.main(workload.argv(tmp_path, 1)) == 0
-    first = json.loads((tmp_path / workloads.OUT).read_text().splitlines()[0])
-    assert first["embedding_ref"] == {"file": workloads.SIDECAR, "index": 0}
+    if name == "relabel":
+        first = json.loads((tmp_path / workloads.OUT).read_text().splitlines()[0])
+        assert first["embedding_ref"] == {"file": workloads.SIDECAR, "index": 0}
     outcome = checks.check(workload, tmp_path, 1)
     assert not outcome.failed, outcome.problems
     assert outcome.cpwer_after > 0
