@@ -67,37 +67,41 @@ def cosine_affinity(embeddings) -> np.ndarray:
     return A
 
 
-def _factors(longer: np.ndarray, cfg: AttenuationConfig) -> np.ndarray:
-    """Attenuation factors for an array of max-durations."""
+def duration_factors(durations: np.ndarray, cfg: AttenuationConfig) -> np.ndarray:
+    """Attenuation factor of each duration, elementwise.
+
+    Every mode is nondecreasing in the duration, so the factor of a pair's
+    longer duration is the larger of the two segments' factors.
+    """
     if cfg.mode == "none":
-        return np.ones_like(longer)
+        return np.ones_like(durations)
     if cfg.mode == "stepwise":
         a = cfg.alpha
         b8, b4, b2, b1 = STEP_BREAKPOINTS
         return np.select(
-            [longer >= b8, longer >= b4, longer >= b2, longer >= b1],
+            [durations >= b8, durations >= b4, durations >= b2, durations >= b1],
             [1.0, a, a**2, a**3],
             default=a**4,
         )
-    # polynomial: (max / knee) ** beta below the knee, 1 above
+    # polynomial: (duration / knee) ** beta below the knee, 1 above
     return np.where(
-        longer > POLY_KNEE_SECONDS, 1.0, (longer / POLY_KNEE_SECONDS) ** cfg.beta
+        durations > POLY_KNEE_SECONDS, 1.0, (durations / POLY_KNEE_SECONDS) ** cfg.beta
     )
 
 
 def attenuation_factor(t_i: float, t_j: float, cfg: AttenuationConfig) -> float:
     """Factor in [0, 1] for a segment pair, driven by the longer duration."""
     longer = np.array([max(t_i, t_j)], dtype=np.float64)
-    return float(_factors(longer, cfg)[0])
+    return float(duration_factors(longer, cfg)[0])
 
 
 def attenuate(A: np.ndarray, durations, cfg: AttenuationConfig) -> np.ndarray:
     """Apply per-pair attenuation factors to an adjacency matrix.
 
     Returns a new matrix with entry (i, j) scaled by the factor for
-    (durations[i], durations[j]).  Symmetry and the zero diagonal are
-    preserved; identity settings (mode none, alpha=1, beta=0) return a
-    bitwise-equal copy.
+    (durations[i], durations[j]), the larger of the two segments' factors.
+    Symmetry and the zero diagonal are preserved; identity settings (mode
+    none, alpha=1, beta=0) return a bitwise-equal copy.
     """
     A = np.asarray(A, dtype=np.float64)
     t = np.asarray(durations, dtype=np.float64)
@@ -107,8 +111,8 @@ def attenuate(A: np.ndarray, durations, cfg: AttenuationConfig) -> np.ndarray:
         )
     if cfg.mode == "none":
         return A.copy()
-    longer = np.maximum.outer(t, t)
-    out = A * _factors(longer, cfg)
+    f = duration_factors(t, cfg)
+    out = A * np.maximum.outer(f, f)
     np.fill_diagonal(out, 0.0)
     return out
 

@@ -119,14 +119,19 @@ def _read_segments(path: str) -> list[corpus.SessionHypothesis]:
     return sessions
 
 
-def _refuse_overwrites(args, sessions, *outputs: str) -> None:
+def _flags(args, *names: str) -> list[tuple[str, str | None]]:
+    """(flag, path) of each named command-line option."""
+    return [(f"--{name}", getattr(args, name)) for name in names]
+
+
+def _refuse_overwrites(inputs, outputs, sessions=()) -> None:
     """Reject an output path that is an input, another output, or a sidecar read.
 
-    The inputs are ``--segments`` and ``--reference``, and ``outputs`` names
-    the command's output flags; unset flags are skipped and paths compare
-    resolved.  Relabeled records keep their ``embedding_ref``, so writing
-    over a sidecar the sessions read from would leave them pointing at
-    something else.  Each command calls this once, before it writes anything.
+    ``inputs`` and ``outputs`` are (flag, path) pairs; unset paths are
+    skipped and paths compare resolved.  Relabeled records keep their
+    ``embedding_ref``, so writing over a sidecar the sessions read from would
+    leave them pointing at something else.  Each command calls this once,
+    before it writes anything.
     """
     sidecar = "the embedding sidecar the segments read from (--segments)"
     taken = {
@@ -135,17 +140,16 @@ def _refuse_overwrites(args, sessions, *outputs: str) -> None:
         for seg in session.segments
         if seg.embedding_ref is not None
     }
-    for kind, names in (("input", ("segments", "reference")), ("output", outputs)):
-        for name in names:
-            path = getattr(args, name)
+    for kind, paths in (("input", inputs), ("output", outputs)):
+        for flag, path in paths:
             if path is None:
                 continue
             resolved = os.path.realpath(path)
             if kind == "output" and resolved in taken:
                 raise ValueError(
-                    f"--{name} {path} is {taken[resolved]}; refusing to overwrite it"
+                    f"{flag} {path} is {taken[resolved]}; refusing to overwrite it"
                 )
-            taken.setdefault(resolved, f"the --{name} {kind}")
+            taken.setdefault(resolved, f"the {flag} {kind}")
 
 
 def _cmd_reassign(args) -> int:
@@ -157,13 +161,15 @@ def _cmd_reassign(args) -> int:
         num_speakers=parse_num_speakers(args.num_speakers),
     )
     sessions = _read_segments(args.segments)
-    _refuse_overwrites(args, sessions, "out", "report")
+    _refuse_overwrites(
+        _flags(args, "segments", "reference"), _flags(args, "out", "report"), sessions
+    )
     refs = None
     if args.reference:
         references = corpus.parse_reference(args.reference)
         refs = pipeline.references_by_session(sessions, references)
 
-    out_dir = os.path.dirname(args.out)
+    ref_dir = corpus.sidecar_names(os.path.dirname(args.out))
     out_lines: list[str] = []
     report_lines: list[str] = []
     for index, session in enumerate(sessions):
@@ -172,7 +178,7 @@ def _cmd_reassign(args) -> int:
             session, reference, cfg, seed=pipeline.session_seed(args.seed, index)
         )
         buf = io.StringIO()
-        corpus.write_assignment(session, assignment, buf, ref_dir=out_dir)
+        corpus.write_assignment(session, assignment, buf, ref_dir=ref_dir)
         out_lines.append(buf.getvalue())
         if reference is not None:
             report_lines.append(
@@ -226,9 +232,11 @@ def _cmd_cpwer(args) -> int:
 def _cmd_oracle(args) -> int:
     references = corpus.parse_reference(args.reference)
     sessions = _read_segments(args.segments)
-    _refuse_overwrites(args, sessions, "out")
+    _refuse_overwrites(
+        _flags(args, "segments", "reference"), _flags(args, "out"), sessions
+    )
     refs = pipeline.references_by_session(sessions, references)
-    out_dir = os.path.dirname(args.out)
+    ref_dir = corpus.sidecar_names(os.path.dirname(args.out))
     out_lines = []
     for session in sessions:
         reference = refs[session.session_id]
@@ -239,7 +247,7 @@ def _cmd_oracle(args) -> int:
             assignment,
             buf,
             label_names=list(reference.per_speaker),
-            ref_dir=out_dir,
+            ref_dir=ref_dir,
         )
         out_lines.append(buf.getvalue())
         print(_score_line(session.session_id, report))
@@ -251,7 +259,9 @@ def _cmd_report(args) -> int:
     alphas, betas = pipeline.parse_sweep(args.sweep)
     refs = corpus.parse_reference(args.reference)
     sessions = _read_segments(args.segments)
-    _refuse_overwrites(args, sessions, "out")
+    _refuse_overwrites(
+        _flags(args, "segments", "reference"), _flags(args, "out"), sessions
+    )
     rows = pipeline.run_report(sessions, refs, alphas, betas, args.seed)
     Path(args.out).write_text(
         "".join(json.dumps(row) + "\n" for row in rows), encoding="utf-8"
@@ -260,6 +270,13 @@ def _cmd_report(args) -> int:
 
 
 def _cmd_synth(args) -> int:
+    outputs = {
+        kind: Path(f"{args.out_prefix}.{kind}.jsonl")
+        for kind in ("segments", "reference", "truth")
+    }
+    _refuse_overwrites(
+        [("--spec", args.spec)], [("--out-prefix", p) for p in outputs.values()]
+    )
     raw = json.loads(Path(args.spec).read_text(encoding="utf-8"))
     if not isinstance(raw, dict):
         raise ValueError("synth spec must be a JSON object")
@@ -294,10 +311,9 @@ def _cmd_synth(args) -> int:
             + "\n"
             for seg, label in zip(session.segments, truth.labels)
         )
-    prefix = Path(args.out_prefix)
-    Path(str(prefix) + ".segments.jsonl").write_text("".join(seg_lines), "utf-8")
-    Path(str(prefix) + ".reference.jsonl").write_text("".join(ref_lines), "utf-8")
-    Path(str(prefix) + ".truth.jsonl").write_text("".join(truth_lines), "utf-8")
+    outputs["segments"].write_text("".join(seg_lines), "utf-8")
+    outputs["reference"].write_text("".join(ref_lines), "utf-8")
+    outputs["truth"].write_text("".join(truth_lines), "utf-8")
     return 0
 
 

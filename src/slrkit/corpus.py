@@ -393,16 +393,14 @@ def _dump_record(segment: Segment, speaker: str, ref_file: Callable[[str], str])
     return json.dumps(record)
 
 
-def _ref_files(sink, ref_dir) -> Callable[[str], str]:
-    """Sidecar path -> its name relative to where ``sink``'s records are read from.
+def sidecar_names(ref_dir: str | Path) -> Callable[[str], str]:
+    """Sidecar path -> its name relative to ``ref_dir``, each computed once.
 
-    That is ``ref_dir`` when given, else the sink's directory for a path and
-    the working directory for a stream, as in :func:`parse_segments`.  The
-    directory is resolved on first use, so inline-only output never touches
-    the file system.
+    The directory is resolved only when a new sidecar path is seen, so
+    inline-only output never touches the file system.  Pass the result as
+    ``ref_dir`` to every :func:`write_assignment` call bound for one file
+    to share that work.
     """
-    if ref_dir is None:
-        ref_dir = Path(sink).parent if isinstance(sink, (str, Path)) else "."
     names: dict[str, str] = {}
 
     def ref_file(path: str) -> str:
@@ -411,6 +409,20 @@ def _ref_files(sink, ref_dir) -> Callable[[str], str]:
         return names[path]
 
     return ref_file
+
+
+def _ref_files(sink, ref_dir) -> Callable[[str], str]:
+    """Sidecar path -> its name relative to where ``sink``'s records are read from.
+
+    That is ``ref_dir`` when given (a directory or its :func:`sidecar_names`),
+    else the sink's directory for a path and the working directory for a
+    stream, as in :func:`parse_segments`.
+    """
+    if callable(ref_dir):
+        return ref_dir
+    if ref_dir is None:
+        ref_dir = Path(sink).parent if isinstance(sink, (str, Path)) else "."
+    return sidecar_names(ref_dir)
 
 
 def _write_lines(sink, lines: Iterable[str]) -> None:
@@ -437,7 +449,7 @@ def write_assignment(
     sink,
     *,
     label_names: Sequence[str] | None = None,
-    ref_dir: str | Path | None = None,
+    ref_dir: str | Path | Callable[[str], str] | None = None,
 ) -> None:
     """Write the session with speakers replaced by the assigned cluster labels.
 
@@ -447,7 +459,8 @@ def write_assignment(
     float lists, and segments read through ``embedding_ref`` keep that
     reference, its file relative to ``ref_dir``.  By default that is the
     sink's directory for a path and the working directory for a stream; pass
-    the destination's directory when writing to a buffer bound for a file.
+    the destination's directory when writing to a buffer bound for a file,
+    or its :func:`sidecar_names` when several calls write to one file.
     """
     num_labels = len(label_names) if label_names is not None else (
         max(assignment.labels) + 1 if assignment.labels else 0

@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .affinity import AttenuationConfig
+from .affinity import AttenuationConfig, cosine_affinity, duration_factors
 from .corpus import LabelAssignment, ReferenceTranscript, SessionHypothesis, Segment
 from .kmeans import kmeans_pp, unit_normalize
 from .metrics import CpWerReport, cpwer, cpwer_from_segments
@@ -59,9 +59,16 @@ def initial_speaker_streams(session: SessionHypothesis) -> dict[str, tuple[str, 
 
 
 def cluster_session(
-    session: SessionHypothesis, cfg: PipelineConfig, seed=0
+    session: SessionHypothesis,
+    cfg: PipelineConfig,
+    seed=0,
+    *,
+    affinity: np.ndarray | None = None,
 ) -> LabelAssignment:
-    """Run the configured clusterer on one session."""
+    """Run the configured clusterer on one session.
+
+    ``affinity`` is passed on to :func:`spectral_cluster`; k-means ignores it.
+    """
     k = cfg.num_speakers if cfg.num_speakers is not None else session.num_speakers
     if not 1 <= k <= len(session.segments):
         raise ValueError(
@@ -75,7 +82,9 @@ def cluster_session(
             )
         labels = kmeans_pp(unit_normalize(session.embeddings()), k, seed)
         return LabelAssignment(session_id=session.session_id, labels=tuple(labels))
-    return spectral_cluster(session, cfg.attenuation, seed, num_speakers=k)
+    return spectral_cluster(
+        session, cfg.attenuation, seed, num_speakers=k, affinity=affinity
+    )
 
 
 def _safe_relative(
@@ -94,14 +103,21 @@ def _evaluate(
 ) -> tuple[CpWerReport, list[CpWerReport], CpWerReport, str]:
     """cpWER of one session's initial labels, of each assignment, and of its oracle.
 
-    The oracle (exact when the enumeration fits its budget, greedy
-    otherwise) starts from every labeling scored here, so it bounds them all.
+    Each distinct label tuple is scored once, and its report is shared by
+    the assignments that repeat it.  The oracle (exact when the enumeration
+    fits its budget, greedy otherwise) starts from every distinct labeling
+    scored here, so it bounds them all; a repeat would lose the oracle's
+    ties to its first occurrence anyway.
     """
     before = cpwer(reference, initial_speaker_streams(session))
-    afters = [cpwer_from_segments(reference, session, a) for a in assignments]
     starts = [([seg.initial_speaker for seg in session.segments], before)]
-    for assignment, after in zip(assignments, afters):
-        starts.append(([f"spk{c}" for c in assignment.labels], after))
+    scored: dict[tuple[int, ...], CpWerReport] = {}
+    for assignment in assignments:
+        if assignment.labels not in scored:
+            after = cpwer_from_segments(reference, session, assignment)
+            scored[assignment.labels] = after
+            starts.append(([f"spk{c}" for c in assignment.labels], after))
+    afters = [scored[a.labels] for a in assignments]
     fits = exact_fits_budget(len(reference.per_speaker), len(session.segments))
     mode = "exact" if fits else "greedy"
     _, oracle_report = oracle_assignment(session, reference, mode, starts=starts)
@@ -381,6 +397,30 @@ def _grid_configs(
     ]
 
 
+def _grid_assignments(
+    session: SessionHypothesis, configs: list[PipelineConfig], seed
+) -> list[LabelAssignment]:
+    """Labels of one session under each grid configuration, all with ``seed``.
+
+    The session's cosine affinity is computed once.  Configurations whose
+    per-segment attenuation factors are equal give the same graph, so the
+    same labels, and share one clustering.
+    """
+    affinity = cosine_affinity(session.embeddings())
+    durations = session.durations()
+    by_graph: dict[bytes, LabelAssignment] = {}
+    assignments = []
+    for cfg in configs:
+        if cfg.algorithm == "kmeans":
+            assignments.append(cluster_session(session, cfg, seed))
+            continue
+        graph = duration_factors(durations, cfg.attenuation).tobytes()
+        if graph not in by_graph:
+            by_graph[graph] = cluster_session(session, cfg, seed, affinity=affinity)
+        assignments.append(by_graph[graph])
+    return assignments
+
+
 def run_report(
     sessions: list[SessionHypothesis],
     references: list[ReferenceTranscript],
@@ -391,10 +431,11 @@ def run_report(
     """Evaluate the attenuation grid over all sessions.
 
     Each session is clustered under every grid configuration with its child
-    seed and scored by one :func:`_evaluate` call.  Returns one row dict per
-    system ("none", each configuration, "oracle") with pooled and
-    macro-averaged cpWER plus relative confusion errors against the shared
-    oracle.  Rows are deterministic for fixed inputs and seed.
+    seed (:func:`_grid_assignments`) and scored by one :func:`_evaluate`
+    call.  Returns one row dict per system ("none", each configuration,
+    "oracle") with pooled and macro-averaged cpWER plus relative confusion
+    errors against the shared oracle.  Rows are deterministic for fixed
+    inputs and seed.
     """
     refs_by_session = references_by_session(sessions, references)
     configs = _grid_configs(step_alphas, poly_betas)
@@ -403,8 +444,7 @@ def run_report(
     oracle_reports: list[CpWerReport] = []
     oracle_modes: set[str] = set()
     for i, s in enumerate(sessions):
-        child = session_seed(seed, i)
-        assignments = [cluster_session(s, cfg, child) for cfg in configs]
+        assignments = _grid_assignments(s, configs, session_seed(seed, i))
         before, session_afters, oracle_report, mode = _evaluate(
             s, refs_by_session[s.session_id], assignments
         )

@@ -4,12 +4,15 @@ Pipeline: adjacency -> degree -> normalized Laplacian -> eigenvectors of the
 smallest eigenvalues -> per-segment feature vectors -> hard labels via the
 alternating rotation/argmax procedure ("discretize").
 
-The eigendecomposition is one LAPACK call (``numpy.linalg.eigh``).
+Clustering computes only the k eigenvectors it uses, with one LAPACK subset
+solver call (``scipy.linalg.eigh(..., subset_by_index=[0, k - 1])``);
+:func:`symmetric_eig` is the full decomposition (``numpy.linalg.eigh``).
 """
 
 from __future__ import annotations
 
 import numpy as np
+import scipy.linalg
 
 from .affinity import AttenuationConfig, attenuate, cosine_affinity
 from .corpus import LabelAssignment, SessionHypothesis
@@ -133,13 +136,19 @@ def spectral_cluster(
     seed,
     *,
     num_speakers: int | None = None,
+    affinity: np.ndarray | None = None,
 ) -> LabelAssignment:
-    """Cluster a session's segments: affinity, attenuation, Laplacian, discretize."""
+    """Cluster a session's segments: affinity, attenuation, Laplacian, discretize.
+
+    ``affinity`` is the session's :func:`cosine_affinity`, for callers that
+    cluster one session several times; it is computed here when not given.
+    """
     k = session.num_speakers if num_speakers is None else int(num_speakers)
-    A = cosine_affinity(session.embeddings())
-    A = attenuate(A, session.durations(), cfg)
+    if affinity is None:
+        affinity = cosine_affinity(session.embeddings())
+    A = attenuate(affinity, session.durations(), cfg)
     L = normalized_laplacian(A)
-    _, eigenvectors = symmetric_eig(L)
+    _, eigenvectors = scipy.linalg.eigh(L, subset_by_index=[0, k - 1])
     features = spectral_features(eigenvectors, k)
     labels = discretize(features, k, seed)
     return LabelAssignment(session_id=session.session_id, labels=tuple(labels))

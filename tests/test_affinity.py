@@ -2,12 +2,16 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from slrkit.affinity import (
+    STEP_BREAKPOINTS,
     AttenuationConfig,
     attenuate,
     attenuation_factor,
     cosine_affinity,
+    duration_factors,
 )
 
 STEP = lambda a: AttenuationConfig(mode="stepwise", alpha=a)  # noqa: E731
@@ -166,3 +170,29 @@ def test_duration_length_mismatch():
     A = cosine_affinity(np.eye(3))
     with pytest.raises(ValueError, match="durations"):
         attenuate(A, [1.0, 2.0], STEP(0.5))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    durations=st.lists(
+        st.one_of(
+            st.floats(0.01, 20.0), st.sampled_from(STEP_BREAKPOINTS + (0.01, 20.0))
+        ),
+        min_size=1,
+        max_size=24,
+    ),
+    cfg=st.one_of(
+        st.just(AttenuationConfig(mode="none")),
+        st.builds(STEP, st.one_of(st.floats(0.0, 1.0), st.sampled_from([0.0, 1.0]))),
+        st.builds(POLY, st.one_of(st.floats(0.0, 16.0), st.sampled_from([0.0, 1.0]))),
+    ),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_attenuate_bitwise_equals_pairwise_max_duration_formula(durations, cfg, seed):
+    # the factor of the longer duration is the larger per-segment factor,
+    # so the S x S duration matrix is not needed
+    t = np.array(durations)
+    A = cosine_affinity(np.random.default_rng(seed).standard_normal((len(t), 4)))
+    expected = A * duration_factors(np.maximum.outer(t, t), cfg)
+    np.fill_diagonal(expected, 0.0)
+    assert attenuate(A, t, cfg).tobytes() == expected.tobytes()

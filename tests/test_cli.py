@@ -2,6 +2,7 @@
 
 import io
 import json
+import os
 import tempfile
 import warnings
 from pathlib import Path
@@ -578,6 +579,34 @@ def test_output_onto_input_or_other_output_rejected_before_writing(
     assert message.format(**names) in captured.err
     assert captured.out == ""
     assert _files(synth_corpus) == before
+
+
+def test_synth_refuses_to_write_over_its_spec(tmp_path, capsys):
+    spec = tmp_path / "d.segments.jsonl"
+    spec.write_text(json.dumps(SPEC), encoding="utf-8")
+    saved = spec.read_bytes()
+    argv = ["synth", "--spec", str(spec), "--out-prefix", str(tmp_path / "d")]
+    assert cli.main(argv) == 1
+    captured = capsys.readouterr()
+    assert f"--out-prefix {spec} is the --spec input" in captured.err
+    assert spec.read_bytes() == saved
+    assert [p.name for p in tmp_path.iterdir()] == [spec.name]
+
+
+@pytest.mark.parametrize("command", ["reassign", "oracle"])
+def test_sidecar_name_resolved_once_per_command(synth_corpus, monkeypatch, command):
+    # two sessions read through one sidecar: its name in the output is
+    # derived once for the whole file, not once per session
+    segments, _ = _sidecar_inputs(synth_corpus)
+    calls = []
+    relpath = os.path.relpath
+    monkeypatch.setattr(
+        os.path, "relpath", lambda *args: calls.append(args) or relpath(*args)
+    )
+    out = synth_corpus / "x.jsonl"
+    assert cli.main(_relabel_argv(command, segments, synth_corpus, out)) == 0
+    assert len(calls) == 1
+    assert len(corpus.parse_segments(out)) == 2
 
 
 def test_reference_that_is_a_segments_file_rejected(synth_corpus, capsys):

@@ -6,8 +6,10 @@ import json
 import numpy as np
 import pytest
 
+from slrkit import metrics, pipeline
 from slrkit.affinity import AttenuationConfig
-from slrkit.corpus import Segment, SessionHypothesis
+from slrkit.corpus import LabelAssignment, Segment, SessionHypothesis
+from slrkit.oracle import oracle_assignment
 from slrkit.pipeline import (
     DurationBucket,
     PipelineConfig,
@@ -369,6 +371,74 @@ def test_run_report_and_reassign_score_a_session_alike():
         assert oracle_row["oracle_modes"] == [report.oracle_mode]
         modes.add(report.oracle_mode)
     assert modes == {"exact", "greedy"}
+
+
+def _counted(monkeypatch, module, name):
+    """Wrap ``module.name`` so each call is counted; returns the counter."""
+    calls = []
+    original = getattr(module, name)
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counting)
+    return calls
+
+
+def test_evaluate_scores_each_distinct_labeling_once(monkeypatch):
+    spec = SynthSpec(
+        num_speakers=3,
+        dim=8,
+        buckets=(DurationBucket(30, 0.5, 9.0, 0.3),),
+        corruption=0.2,
+        confusion=0.4,
+    )
+    session, reference, truth = generate_session(spec, 4)
+    rng = np.random.default_rng(4)
+    other = LabelAssignment(session.session_id, tuple(rng.integers(0, 3, 30)))
+    shifted = LabelAssignment(
+        session.session_id, tuple((c + 1) % 3 for c in truth.labels)
+    )
+    assignments = [truth, other, truth, shifted, other, truth]
+    fresh = [metrics.cpwer_from_segments(reference, session, a) for a in assignments]
+
+    calls = _counted(monkeypatch, pipeline, "cpwer_from_segments")
+    before, afters, oracle_report, mode = pipeline._evaluate(
+        session, reference, assignments
+    )
+    assert len(calls) == 3
+    assert afters == fresh
+    # a repeated labeling as an extra start leaves the oracle as it is
+    starts = [([seg.initial_speaker for seg in session.segments], before)]
+    starts += [([f"spk{c}" for c in a.labels], r) for a, r in zip(assignments, fresh)]
+    _, with_repeats = oracle_assignment(session, reference, mode, starts=starts)
+    assert oracle_report == with_repeats
+
+
+def test_run_report_shares_affinity_and_equal_graphs(monkeypatch):
+    # default sweep: k-means and ten SC rows.  step:1 gives the plain SC
+    # graph; with every segment at least 8 s long no setting attenuates, so
+    # all ten SC rows share one clustering
+    alphas, betas = parse_sweep("step:0,0.1,0.25,1;poly:1,2,4,8,16")
+    for low, clusterings in ((0.5, 1 + 9), (8.0, 1 + 1)):
+        spec = SynthSpec(
+            num_speakers=2,
+            dim=6,
+            buckets=(DurationBucket(12, low, 12.0, 0.3),),
+            confusion=0.4,
+        )
+        session, reference, _ = generate_session(spec, 2)
+        affinities = _counted(monkeypatch, pipeline, "cosine_affinity")
+        clustered = _counted(monkeypatch, pipeline, "cluster_session")
+        rows = run_report([session], [reference], alphas, betas, seed=5)
+        assert (len(affinities), len(clustered)) == (1, clusterings)
+        monkeypatch.undo()
+        # each row scores what cluster_session gives on its own
+        for cfg, row in zip(pipeline._grid_configs(alphas, betas), rows[1:-1]):
+            labels = cluster_session(session, cfg, session_seed(5, 0))
+            after = metrics.cpwer_from_segments(reference, session, labels)
+            assert row["pooled_cpwer"] == after.cpwer
 
 
 def test_run_report_requires_references():

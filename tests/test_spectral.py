@@ -1,9 +1,11 @@
 """Laplacian construction, LAPACK eigendecomposition, and discretize clustering."""
 
+import warnings
+
 import numpy as np
 import pytest
 
-from slrkit.affinity import AttenuationConfig
+from slrkit.affinity import AttenuationConfig, attenuate, cosine_affinity
 from slrkit.corpus import Segment, SessionHypothesis
 from slrkit.pipeline import DurationBucket, SynthSpec, generate_session
 from slrkit.spectral import (
@@ -368,3 +370,57 @@ def test_spectral_cluster_recovers_meeting_scale_session():
     session, _, truth = generate_session(spec, 3)
     assignment = spectral_cluster(session, AttenuationConfig(), seed=0)
     assert as_partition(assignment.labels) == as_partition(truth.labels)
+
+
+def test_spectral_cluster_with_precomputed_affinity_matches():
+    rng = np.random.default_rng(13)
+    X = rng.standard_normal((30, 6))
+    durations = rng.uniform(0.3, 12.0, 30)
+    session = make_session(X, durations=durations, k=3)
+    A = cosine_affinity(session.embeddings())
+    saved = A.copy()
+    for cfg in (
+        AttenuationConfig(),
+        AttenuationConfig(mode="stepwise", alpha=0.25),
+        AttenuationConfig(mode="polynomial", beta=4.0),
+    ):
+        own = spectral_cluster(session, cfg, seed=3)
+        shared = spectral_cluster(session, cfg, seed=3, affinity=A)
+        assert shared == own
+    assert A.tobytes() == saved.tobytes()
+
+
+@pytest.mark.parametrize("k", [2, 3, 5])
+def test_spectral_cluster_recovers_disconnected_blocks_exactly(k):
+    # each speaker's embeddings live in their own coordinates, so the graph
+    # has k components and eigenvalues 0 = l_0 = ... = l_(k-1): any basis of
+    # that eigenspace must still give the blocks
+    rng = np.random.default_rng(k)
+    truth = rng.permutation(np.arange(6 * k) % k)
+    X = np.zeros((6 * k, 2 * k))
+    for i, c in enumerate(truth):
+        X[i, 2 * c : 2 * c + 2] = rng.uniform(0.2, 1.0, 2)
+    session = make_session(X, k=k)
+    for seed in range(5):
+        assignment = spectral_cluster(session, AttenuationConfig(), seed=seed)
+        assert as_partition(assignment.labels) == as_partition(truth)
+
+
+def test_spectral_cluster_zero_degree_nodes_give_valid_labels():
+    # step:0 zeroes every pair whose longer segment is under 8 s; the short
+    # segments share no direction with the long ones, so they lose every
+    # edge, and an all-short session is an empty graph
+    rng = np.random.default_rng(14)
+    X = np.zeros((12, 4))
+    X[:4, :2] = rng.uniform(0.2, 1.0, (4, 2))
+    X[4:, 2:] = rng.uniform(0.2, 1.0, (8, 2))
+    cfg = AttenuationConfig(mode="stepwise", alpha=0.0)
+    for durations, isolated in (([9.0] * 4 + [1.0] * 8, 8), ([1.0] * 12, 12)):
+        session = make_session(X, durations=durations, k=3)
+        A = attenuate(cosine_affinity(X), durations, cfg)
+        assert np.count_nonzero(degree(A) == 0) == isolated
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            labels = spectral_cluster(session, cfg, seed=0).labels
+        assert len(labels) == 12
+        assert set(labels) <= {0, 1, 2}
