@@ -311,6 +311,8 @@ def _cmd_synth(args) -> int:
             + "\n"
             for seg, label in zip(session.segments, truth.labels)
         )
+    # refuse a reference the scoring commands would reject, before writing
+    corpus.parse_reference(io.StringIO("".join(ref_lines)))
     outputs["segments"].write_text("".join(seg_lines), "utf-8")
     outputs["reference"].write_text("".join(ref_lines), "utf-8")
     outputs["truth"].write_text("".join(truth_lines), "utf-8")

@@ -272,6 +272,8 @@ def write_embeddings_sidecar(path: str | Path, embeddings: np.ndarray) -> None:
 
 
 _SEGMENT_KEYS = ("session_id", "segment_id", "start", "end", "speaker", "words")
+_SEGMENT_TEXT_KEYS = ("session_id", "segment_id", "speaker", "words")
+_REFERENCE_KEYS = ("session_id", "speaker", "words")
 _SEGMENT_ONLY_KEYS = {"segment_id", "start", "end", "embedding", "embedding_ref"}
 
 
@@ -285,9 +287,10 @@ def parse_segments(stream) -> list[SessionHypothesis]:
     otherwise.
 
     Raises ``ValueError`` with the offending line number for malformed
-    records, segment ids repeated within a session, zero-norm embeddings,
-    and non-positive durations, and naming the session for inconsistent
-    embedding dimensions (checked by ``SessionHypothesis``).
+    records (a text field that is not a JSON string among them), segment ids
+    repeated within a session, zero-norm embeddings, and non-positive
+    durations, and naming the session for inconsistent embedding dimensions
+    (checked by ``SessionHypothesis``).
     """
     base_dir = Path(stream).parent if isinstance(stream, (str, Path)) else Path(".")
     sidecars = _SidecarCache(base_dir)
@@ -298,6 +301,9 @@ def parse_segments(stream) -> list[SessionHypothesis]:
         missing = [k for k in _SEGMENT_KEYS if k not in record]
         if missing:
             raise ValueError(f"line {lineno}: missing fields {missing}")
+        for key in _SEGMENT_TEXT_KEYS:
+            if type(record[key]) is not str:
+                raise ValueError(f"line {lineno}: {key!r} must be a string")
         embedding_ref = None
         if "embedding" in record:
             embedding = record["embedding"]
@@ -307,12 +313,12 @@ def parse_segments(stream) -> list[SessionHypothesis]:
             raise ValueError(f"line {lineno}: missing 'embedding' or 'embedding_ref'")
         try:
             segment = Segment(
-                session_id=str(record["session_id"]),
-                segment_id=str(record["segment_id"]),
+                session_id=record["session_id"],
+                segment_id=record["segment_id"],
                 start=float(record["start"]),
                 end=float(record["end"]),
-                initial_speaker=str(record["speaker"]),
-                words=tokenize(str(record["words"])),
+                initial_speaker=record["speaker"],
+                words=tokenize(record["words"]),
                 embedding=np.asarray(embedding, dtype=np.float64),
                 embedding_ref=embedding_ref,
             )
@@ -341,25 +347,29 @@ def parse_segments(stream) -> list[SessionHypothesis]:
 def parse_reference(stream) -> list[ReferenceTranscript]:
     """Parse line-delimited reference records, concatenating per (session, speaker).
 
-    Raises ``ValueError`` naming the line of a record that carries a field
+    Raises ``ValueError`` naming the line of a record whose ``session_id``,
+    ``speaker`` or ``words`` is not a JSON string, or that carries a field
     only segment records have, such as ``start`` (a segments file passed as
     the reference), and naming the session when a reference speaker ends up
     with no words.  Other unknown fields are ignored.
     """
     per_session: dict[str, dict[str, tuple[str, ...]]] = {}
     for lineno, record in _iter_json_lines(stream):
-        missing = [k for k in ("session_id", "speaker", "words") if k not in record]
+        missing = [k for k in _REFERENCE_KEYS if k not in record]
         if missing:
             raise ValueError(f"line {lineno}: missing fields {missing}")
+        for key in _REFERENCE_KEYS:
+            if type(record[key]) is not str:
+                raise ValueError(f"line {lineno}: {key!r} must be a string")
         segment_keys = record.keys() & _SEGMENT_ONLY_KEYS
         if segment_keys:
             raise ValueError(
                 f"line {lineno}: reference record carries segment fields "
                 f"{sorted(segment_keys)}"
             )
-        session_id = str(record["session_id"])
-        speaker = str(record["speaker"])
-        words = tokenize(str(record["words"]))
+        session_id = record["session_id"]
+        speaker = record["speaker"]
+        words = tokenize(record["words"])
         speakers = per_session.setdefault(session_id, {})
         speakers[speaker] = speakers.get(speaker, ()) + words
 

@@ -5,11 +5,11 @@ session cpWER; it lower-bounds what any reassignment method can reach.
 Segments are taken in the session's stream order, as cpWER joins them.
 Label ``c`` is reference speaker ``c``, so both modes minimize the diagonal
 objective, the sum over ``c`` of D(ref_c, stream_c), with no speaker
-permutation search of their own.  Exact mode enumerates every assignment
-(with branch-and-bound pruning that never changes the result); greedy mode
-scales to long sessions by coordinate descent from the cheaper of a local
-alignment initialization and the cheapest labeling the caller has already
-scored, so it scores no worse than any of those.
+permutation search of their own.  Greedy mode scales to long sessions by
+coordinate descent from the cheaper of a local alignment initialization and
+the cheapest labeling the caller has already scored, so it scores no worse
+than any of those; exact mode starts from that result and proves or improves
+it by branch and bound over every assignment.
 
 The initialization's costs g(i, c), of segment ``i`` against its
 best-matching window of reference ``c`` (approximate substring matching,
@@ -100,17 +100,18 @@ def _free_end_gap_costs(
 
 
 def _exact_search(
-    segments: list[tuple[str, ...]], refs: list[tuple[str, ...]]
+    segments: list[tuple[str, ...]], refs: list[tuple[str, ...]], incumbent: int
 ) -> tuple[int, list[int]]:
-    """Minimum total edit cost over all segment-to-speaker assignments.
+    """Lexicographically smallest minimizer of the total edit cost, and its cost.
 
     Segments are consumed in the given (stream) order, so each partial
     assignment extends the per-speaker kernel columns in place.  A completion
     costs at least the column minima plus, per remaining segment, its
     cheapest free-end-gap cost: the rest of reference ``c`` splits into one
-    window per segment that cluster ``c`` still receives.  Pruning at that
-    bound only when it reaches the best cost so far preserves the
-    lexicographically smallest minimizing assignment.
+    window per segment that cluster ``c`` still receives.  The best cost
+    starts above ``incumbent``, the greedy cost, and only a lower cost
+    replaces it, so pruning where the bound reaches it never cuts the
+    smallest minimizer: every labeling visited before it costs more.
     """
     k = len(refs)
     num_segments = len(segments)
@@ -120,16 +121,16 @@ def _exact_search(
     columns = [_advance(masks[r], len(refs[r]), ()) for r in range(k)]
     mins = [0] * k
     labels = [0] * num_segments
-    best_cost: int | None = None
+    best_cost = incumbent + 1
     best_labels: list[int] | None = None
 
     def search(depth: int) -> None:
         nonlocal best_cost, best_labels
-        if best_cost is not None and sum(mins) + rest[depth] >= best_cost:
+        if sum(mins) + rest[depth] >= best_cost:
             return
         if depth == num_segments:
             cost = sum(column.score for column in columns)
-            if best_cost is None or cost < best_cost:
+            if cost < best_cost:
                 best_cost = cost
                 best_labels = labels.copy()
             return
@@ -143,7 +144,7 @@ def _exact_search(
             columns[r], mins[r] = saved
 
     search(0)
-    assert best_cost is not None and best_labels is not None
+    assert best_labels is not None, f"no labeling costs at most {incumbent}"
     return best_cost, best_labels
 
 
@@ -325,14 +326,14 @@ def oracle_assignment(
 
     ``starts`` are labelings the caller has already scored: per segment (in
     session order) the hypothesis speaker name its ``CpWerReport`` pairs.
-    Greedy mode maps the one with the fewest errors (first on ties) to
-    reference speakers through ``report.mapping``, a segment of an unmapped
-    speaker taking its free-end-gap choice, and descends from it when that is
-    cheaper than the free-end-gap start.  A mapped labeling's diagonal cost
-    is at most its cpWER errors, so the greedy result scores no worse than
-    any start; when every segment maps, the cost is those errors and is not
-    aligned again.  If the cpWER pairing of the result is cheaper than the
-    identity, the search relabels through it and descends again.
+    The greedy search, which both modes run first, maps the one with the
+    fewest errors (first on ties) to reference speakers through
+    ``report.mapping``, a segment of an unmapped speaker taking its
+    free-end-gap choice, and descends from it when that is cheaper than the
+    free-end-gap start.  A mapped labeling's diagonal cost is at most its
+    cpWER errors, so the result scores no worse than any start; when every
+    segment maps, the cost is those errors and is not aligned again.  If the
+    cpWER pairing of the result beats the identity, it relabels and descends.
     """
     if mode not in ("exact", "greedy"):
         raise ValueError(f"mode must be 'exact' or 'greedy', got {mode!r}")
@@ -347,6 +348,11 @@ def oracle_assignment(
         raise ValueError("reference has no speakers")
     if any(len(speakers) != len(session.segments) for speakers, _ in starts):
         raise ValueError("each oracle start needs one speaker per segment")
+    if mode == "exact" and not exact_fits_budget(k, len(session.segments)):
+        raise ValueError(
+            f"exact oracle over budget: {k}^{len(session.segments)} > "
+            f"{EXACT_SEARCH_BUDGET}; use greedy mode"
+        )
 
     refs = [tuple(reference.per_speaker[l]) for l in ref_labels]
     segments = [seg.words for seg in session.segments]
@@ -362,22 +368,16 @@ def oracle_assignment(
             reference, session, assignment, num_clusters=k, label_names=ref_labels
         )
 
+    start = start_cost = None
+    if starts:
+        speakers, report = min(starts, key=lambda s: s[1].errors)
+        start = mapped(speakers, report)
+        if None not in start:
+            # each reference's stream is that of the speaker paired with it
+            start_cost = report.errors
+    cost, labels = _greedy_search(segments, refs, start, start_cost)
     if mode == "exact":
-        if not exact_fits_budget(k, len(segments)):
-            raise ValueError(
-                f"exact oracle over budget: {k}^{len(segments)} > "
-                f"{EXACT_SEARCH_BUDGET}; use greedy mode"
-            )
-        cost, labels = _exact_search(segments, refs)
-    else:
-        start = start_cost = None
-        if starts:
-            speakers, report = min(starts, key=lambda s: s[1].errors)
-            start = mapped(speakers, report)
-            if None not in start:
-                # each reference's stream is that of the speaker paired with it
-                start_cost = report.errors
-        cost, labels = _greedy_search(segments, refs, start, start_cost)
+        cost, labels = _exact_search(segments, refs, cost)
 
     assignment, report = scored(labels)
     while report.errors < cost:

@@ -581,6 +581,17 @@ def test_output_onto_input_or_other_output_rejected_before_writing(
     assert _files(synth_corpus) == before
 
 
+def test_synth_refuses_a_reference_scoring_would_reject(tmp_path, capsys):
+    # with no words per segment every reference speaker is empty, which
+    # cpwer, reassign --reference, oracle and report all reject
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({**SPEC, "words_per_segment": [0, 0]}), encoding="utf-8")
+    argv = ["synth", "--spec", str(spec), "--out-prefix", str(tmp_path / "d")]
+    assert cli.main(argv) == 1
+    assert "reference speakers ['spk0', 'spk1', 'spk2'] have no words" in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == [spec.name]
+
+
 def test_synth_refuses_to_write_over_its_spec(tmp_path, capsys):
     spec = tmp_path / "d.segments.jsonl"
     spec.write_text(json.dumps(SPEC), encoding="utf-8")

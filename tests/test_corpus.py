@@ -72,6 +72,73 @@ def test_zero_norm_embedding_rejected():
         corpus.parse_segments(lines(seg_record(embedding=[0.0, 0.0, 0.0])))
 
 
+@pytest.mark.parametrize(
+    "embedding, message",
+    [
+        ([float("nan"), 1.0], "non-finite values"),
+        ([float("inf"), 1.0], "non-finite values"),
+        ([], "non-empty vector"),
+        ([[1, 2]], "non-empty vector"),
+        (None, "non-finite values"),
+    ],
+    ids=["nan", "infinity", "empty", "nested", "sidecar-nan"],
+)
+def test_bad_embedding_names_its_line(tmp_path, embedding, message):
+    # json writes the floats as NaN and Infinity; ``None`` reads a NaN row
+    # through ``embedding_ref`` instead
+    corpus.write_embeddings_sidecar(tmp_path / "emb.slre", [[1.0, 2.0], [np.nan, 1.0]])
+    bad = seg_record(segment_id="b", start=3.0, end=4.0, embedding=embedding)
+    if embedding is None:
+        del bad["embedding"]
+        bad["embedding_ref"] = {"file": "emb.slre", "index": 1}
+    path = tmp_path / "segments.jsonl"
+    path.write_bytes(lines(seg_record(), bad))
+    with pytest.raises(ValueError, match=f"^line 2: segment 'b': .*{message}$"):
+        corpus.parse_segments(path)
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("words", ["hello", "world"]),
+        ("words", None),
+        ("speaker", None),
+        ("speaker", 0),
+        ("session_id", 1),
+        ("segment_id", 7),
+    ],
+)
+def test_segment_text_fields_must_be_strings(tmp_path, capsys, key, value):
+    bad = {**seg_record(segment_id="b", start=3.0, end=4.0), key: value}
+    records = lines(seg_record(), bad)
+    message = f"line 2: '{key}' must be a string"
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        corpus.parse_segments(records)
+    path = tmp_path / "segments.jsonl"
+    path.write_bytes(records)
+    argv = ["reassign", "--segments", str(path), "--out", str(tmp_path / "out.jsonl")]
+    assert cli.main(argv) == 1
+    assert f"validation error: {message}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [("words", ["a", "b"]), ("words", None), ("speaker", None), ("session_id", 1)],
+)
+def test_reference_text_fields_must_be_strings(tmp_path, capsys, key, value):
+    ref = {"session_id": "s1", "speaker": "A", "words": "a b"}
+    records = lines(ref, {**ref, key: value})
+    message = f"line 2: '{key}' must be a string"
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        corpus.parse_reference(records)
+    reference, segments = tmp_path / "reference.jsonl", tmp_path / "segments.jsonl"
+    reference.write_bytes(records)
+    segments.write_bytes(lines(seg_record()))
+    argv = ["cpwer", "--reference", str(reference), "--hyp", str(segments)]
+    assert cli.main(argv) == 1
+    assert f"validation error: {message}" in capsys.readouterr().err
+
+
 def test_segment_with_empty_asr_output_is_retained():
     # empty word list: the segment still exists (and carries duration), it
     # just contributes no words downstream

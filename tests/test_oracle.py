@@ -15,7 +15,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from slrkit.corpus import LabelAssignment, ReferenceTranscript, Segment, SessionHypothesis
-from slrkit.metrics import _advance, _match_masks, cpwer_from_segments
+from slrkit.metrics import _advance, _match_masks, cpwer_from_segments, token_distance
 from slrkit import oracle
 from slrkit.oracle import (
     _free_end_gap_costs,
@@ -155,11 +155,11 @@ def test_oracle_labels_align_with_reference_order():
 
 
 @st.composite
-def scored_starts(draw):
+def scored_starts(draw, max_segments=9):
     """A session of 1-9 segments, 1-3 reference speakers and 1-3 scored labelings."""
     vocab = st.sampled_from("abc"[: draw(st.integers(1, 3))])
     segment = st.lists(vocab, max_size=3).map(" ".join)
-    session = make_session(draw(st.lists(segment, min_size=1, max_size=9)))
+    session = make_session(draw(st.lists(segment, min_size=1, max_size=max_segments)))
     refs = draw(st.lists(st.lists(vocab, max_size=10).map(" ".join), min_size=1, max_size=3))
     assume(any(refs))
     ref = ReferenceTranscript(
@@ -391,6 +391,41 @@ def test_exact_search_matches_plain_enumeration():
             )
             best = total if best is None else min(best, total)
         assert report.errors == best
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(scored_starts(max_segments=6))
+def test_exact_oracle_is_the_first_brute_force_minimizer(inputs):
+    # the exact search starts from the greedy cost, so it is checked against
+    # every labeling, enumerated in lexicographic order; a vocabulary of 1-3
+    # words makes ties common.  The caller's starts change only that first
+    # cost, never the result.
+    session, ref, starts = inputs
+    segments, refs = stream_inputs(session, ref)
+    costs = []
+    for labels in itertools.product(range(len(refs)), repeat=len(segments)):
+        streams = [[] for _ in refs]
+        for words, label in zip(segments, labels):
+            streams[label].extend(words)
+        costs.append((sum(map(token_distance, refs, streams)), labels))
+    best = min(cost for cost, _ in costs)
+    first = next(labels for cost, labels in costs if cost == best)
+    assignment, report = oracle_assignment(session, ref, "exact")
+    assert (report.errors, assignment.labels) == (best, first)
+    assert oracle_assignment(session, ref, "exact", starts=starts) == (assignment, report)
+
+
+def test_exact_oracle_fails_loudly_on_a_wrong_greedy_cost(monkeypatch):
+    # a greedy cost below the optimum leaves the branch and bound without a
+    # labeling; the oracle must raise rather than return another one
+    session, ref, _ = random_fixture(np.random.default_rng(5), max_segments=6)
+    _, report = oracle_assignment(session, ref, "exact")
+    search = oracle._greedy_search
+    monkeypatch.setattr(
+        oracle, "_greedy_search", lambda *args: (report.errors - 1, search(*args)[1])
+    )
+    with pytest.raises(AssertionError, match="no labeling costs at most"):
+        oracle_assignment(session, ref, "exact")
 
 
 def test_greedy_oracle_meeting_scale_regression():
