@@ -152,6 +152,17 @@ def _refuse_overwrites(inputs, outputs, sessions=()) -> None:
             taken.setdefault(resolved, f"the {flag} {kind}")
 
 
+def _write_relabeled(path: str, relabeled) -> None:
+    """Write (session, assignment, label names or None) triples to one segments file."""
+    ref_dir = corpus.sidecar_names(os.path.dirname(path))
+    buf = io.StringIO()
+    for session, assignment, label_names in relabeled:
+        corpus.write_assignment(
+            session, assignment, buf, label_names=label_names, ref_dir=ref_dir
+        )
+    Path(path).write_text(buf.getvalue(), encoding="utf-8")
+
+
 def _cmd_reassign(args) -> int:
     if args.report and not args.reference:
         raise UsageError("--report needs --reference: without it nothing is scored")
@@ -169,17 +180,14 @@ def _cmd_reassign(args) -> int:
         references = corpus.parse_reference(args.reference)
         refs = pipeline.references_by_session(sessions, references)
 
-    ref_dir = corpus.sidecar_names(os.path.dirname(args.out))
-    out_lines: list[str] = []
+    relabeled = []
     report_lines: list[str] = []
     for index, session in enumerate(sessions):
         reference = refs[session.session_id] if refs is not None else None
         assignment, report = pipeline.reassign(
             session, reference, cfg, seed=pipeline.session_seed(args.seed, index)
         )
-        buf = io.StringIO()
-        corpus.write_assignment(session, assignment, buf, ref_dir=ref_dir)
-        out_lines.append(buf.getvalue())
+        relabeled.append((session, assignment, None))
         if reference is not None:
             report_lines.append(
                 json.dumps(
@@ -197,12 +205,11 @@ def _cmd_reassign(args) -> int:
                         "mapping": report.cpwer_after.mapping,
                     }
                 )
+                + "\n"
             )
-    Path(args.out).write_text("".join(out_lines), encoding="utf-8")
+    _write_relabeled(args.out, relabeled)
     if args.report:
-        Path(args.report).write_text(
-            "".join(line + "\n" for line in report_lines), encoding="utf-8"
-        )
+        Path(args.report).write_text("".join(report_lines), encoding="utf-8")
     return 0
 
 
@@ -236,22 +243,13 @@ def _cmd_oracle(args) -> int:
         _flags(args, "segments", "reference"), _flags(args, "out"), sessions
     )
     refs = pipeline.references_by_session(sessions, references)
-    ref_dir = corpus.sidecar_names(os.path.dirname(args.out))
-    out_lines = []
+    relabeled = []
     for session in sessions:
         reference = refs[session.session_id]
         assignment, report = oracle_assignment(session, reference, args.mode)
-        buf = io.StringIO()
-        corpus.write_assignment(
-            session,
-            assignment,
-            buf,
-            label_names=list(reference.per_speaker),
-            ref_dir=ref_dir,
-        )
-        out_lines.append(buf.getvalue())
+        relabeled.append((session, assignment, list(reference.per_speaker)))
         print(_score_line(session.session_id, report))
-    Path(args.out).write_text("".join(out_lines), encoding="utf-8")
+    _write_relabeled(args.out, relabeled)
     return 0
 
 
@@ -287,20 +285,14 @@ def _cmd_synth(args) -> int:
     if args.sessions < 1:
         raise ValueError("--sessions must be >= 1")
 
-    seg_lines: list[str] = []
-    ref_lines: list[str] = []
-    truth_lines: list[str] = []
+    buffers = {kind: io.StringIO() for kind in outputs}
     for index in range(args.sessions):
         session, reference, truth = pipeline.generate_session(
             spec, pipeline.session_seed(args.seed, index), session_id=f"synth{index}"
         )
-        buf = io.StringIO()
-        corpus.write_segments(session, buf)
-        seg_lines.append(buf.getvalue())
-        buf = io.StringIO()
-        corpus.write_reference(reference, buf)
-        ref_lines.append(buf.getvalue())
-        truth_lines.extend(
+        corpus.write_segments(session, buffers["segments"])
+        corpus.write_reference(reference, buffers["reference"])
+        buffers["truth"].writelines(
             json.dumps(
                 {
                     "session_id": session.session_id,
@@ -312,10 +304,9 @@ def _cmd_synth(args) -> int:
             for seg, label in zip(session.segments, truth.labels)
         )
     # refuse a reference the scoring commands would reject, before writing
-    corpus.parse_reference(io.StringIO("".join(ref_lines)))
-    outputs["segments"].write_text("".join(seg_lines), "utf-8")
-    outputs["reference"].write_text("".join(ref_lines), "utf-8")
-    outputs["truth"].write_text("".join(truth_lines), "utf-8")
+    corpus.parse_reference(io.StringIO(buffers["reference"].getvalue()))
+    for kind, path in outputs.items():
+        path.write_text(buffers[kind].getvalue(), "utf-8")
     return 0
 
 

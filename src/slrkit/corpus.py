@@ -9,8 +9,10 @@ live inline or in a compact binary sidecar (magic ``SLRE``).
 
 from __future__ import annotations
 
+import functools
 import io
 import json
+import math
 import os
 import re
 import struct
@@ -56,6 +58,10 @@ class Segment:
             raise ValueError(
                 f"segment {self.segment_id!r}: end ({self.end}) must be greater "
                 f"than start ({self.start})"
+            )
+        if not self.end < math.inf:  # so the start is finite too
+            raise ValueError(
+                f"segment {self.segment_id!r}: end must be a finite number, got {self.end}"
             )
         emb = np.asarray(self.embedding, dtype=np.float64)
         if emb.ndim != 1 or emb.size == 0:
@@ -209,42 +215,6 @@ def _iter_json_lines(stream) -> Iterator[tuple[int, dict]]:
         yield lineno, record
 
 
-class _SidecarCache:
-    """Lazily opened SLRE sidecar files, resolved relative to a base directory.
-
-    Each distinct ``file`` string is resolved once, and each resolved path
-    is read once.
-    """
-
-    def __init__(self, base_dir: Path):
-        self.base_dir = base_dir
-        self._paths: dict[str, str] = {}
-        self._loaded: dict[str, np.ndarray] = {}
-
-    def lookup(self, ref, lineno: int) -> tuple[tuple[str, int], np.ndarray]:
-        """The reference as (resolved path, index), and the embedding it names."""
-        if not isinstance(ref, dict):
-            ref = {}
-        file_name, index = ref.get("file"), ref.get("index")
-        # ``type(...) is int`` also turns away booleans
-        if not (isinstance(file_name, str) and file_name and type(index) is int):
-            raise ValueError(
-                f"line {lineno}: embedding_ref needs 'file' and integer 'index'"
-            )
-        path = self._paths.get(file_name)
-        if path is None:
-            path = self._paths[file_name] = str((self.base_dir / file_name).resolve())
-        table = self._loaded.get(path)
-        if table is None:
-            table = self._loaded[path] = read_embeddings_sidecar(path)
-        if not 0 <= index < table.shape[0]:
-            raise ValueError(
-                f"line {lineno}: embedding_ref index {index} out of range "
-                f"for sidecar with {table.shape[0]} records"
-            )
-        return (path, index), table[index]
-
-
 def read_embeddings_sidecar(path: str | Path) -> np.ndarray:
     """Read an SLRE sidecar: magic, u32 dim (little-endian), then dim x f32 per record."""
     data = Path(path).read_bytes()
@@ -275,6 +245,8 @@ _SEGMENT_KEYS = ("session_id", "segment_id", "start", "end", "speaker", "words")
 _SEGMENT_TEXT_KEYS = ("session_id", "segment_id", "speaker", "words")
 _REFERENCE_KEYS = ("session_id", "speaker", "words")
 _SEGMENT_ONLY_KEYS = {"segment_id", "start", "end", "embedding", "embedding_ref"}
+# a nested list is left to ``Segment``, which rejects it as not a vector
+_EMBEDDING_ELEMENTS = {int, float, list}
 
 
 def parse_segments(stream) -> list[SessionHypothesis]:
@@ -284,16 +256,22 @@ def parse_segments(stream) -> list[SessionHypothesis]:
     session's speaker count is the number of its distinct initial labels.
     Sidecar files named by ``embedding_ref`` resolve relative to the
     segments file when ``stream`` is a path, and to the working directory
-    otherwise.
+    otherwise.  Within one call each distinct ``file`` string is resolved
+    once and each resolved sidecar is read once; nothing is cached across
+    calls.
 
     Raises ``ValueError`` with the offending line number for malformed
-    records (a text field that is not a JSON string among them), segment ids
-    repeated within a session, zero-norm embeddings, and non-positive
-    durations, and naming the session for inconsistent embedding dimensions
-    (checked by ``SessionHypothesis``).
+    records (a text field that is not a JSON string, a time field that is
+    not a finite JSON number, or an inline embedding that is not a list of
+    numbers among them), segment ids repeated within a session, zero-norm
+    embeddings, and non-positive durations, and naming the session for
+    inconsistent embedding dimensions (checked by ``SessionHypothesis``).
     """
     base_dir = Path(stream).parent if isinstance(stream, (str, Path)) else Path(".")
-    sidecars = _SidecarCache(base_dir)
+    resolved = functools.cache(lambda name: str((base_dir / name).resolve()))
+    # per call, and the module name looked up now: a later call reads the
+    # files again, and a rebound ``read_embeddings_sidecar`` sees each read
+    sidecar = functools.cache(read_embeddings_sidecar)
 
     by_session: dict[str, list[Segment]] = {}
     seen: dict[tuple[str, str], int] = {}
@@ -304,11 +282,36 @@ def parse_segments(stream) -> list[SessionHypothesis]:
         for key in _SEGMENT_TEXT_KEYS:
             if type(record[key]) is not str:
                 raise ValueError(f"line {lineno}: {key!r} must be a string")
+        # exact types turn away booleans; ``Segment`` rejects what is not finite
+        for key in ("start", "end"):
+            if type(record[key]) not in (int, float):
+                raise ValueError(f"line {lineno}: {key!r} must be a finite number")
         embedding_ref = None
         if "embedding" in record:
             embedding = record["embedding"]
+            # a set display, not ``issuperset``: no call per record
+            if not (
+                type(embedding) is list and {*map(type, embedding)} <= _EMBEDDING_ELEMENTS
+            ):
+                raise ValueError(f"line {lineno}: 'embedding' must be a list of numbers")
         elif "embedding_ref" in record:
-            embedding_ref, embedding = sidecars.lookup(record["embedding_ref"], lineno)
+            ref = record["embedding_ref"]
+            file_name, index = (
+                (ref.get("file"), ref.get("index")) if type(ref) is dict else (None, None)
+            )
+            # ``type(...) is int`` also turns away booleans
+            if not (type(file_name) is str and file_name and type(index) is int):
+                raise ValueError(
+                    f"line {lineno}: embedding_ref needs 'file' and integer 'index'"
+                )
+            path = resolved(file_name)
+            table = sidecar(path)
+            if not 0 <= index < table.shape[0]:
+                raise ValueError(
+                    f"line {lineno}: embedding_ref index {index} out of range "
+                    f"for sidecar with {table.shape[0]} records"
+                )
+            embedding_ref, embedding = (path, index), table[index]
         else:
             raise ValueError(f"line {lineno}: missing 'embedding' or 'embedding_ref'")
         try:
@@ -411,14 +414,7 @@ def sidecar_names(ref_dir: str | Path) -> Callable[[str], str]:
     ``ref_dir`` to every :func:`write_assignment` call bound for one file
     to share that work.
     """
-    names: dict[str, str] = {}
-
-    def ref_file(path: str) -> str:
-        if path not in names:
-            names[path] = os.path.relpath(path, Path(ref_dir).resolve())
-        return names[path]
-
-    return ref_file
+    return functools.cache(lambda path: os.path.relpath(path, Path(ref_dir).resolve()))
 
 
 def _ref_files(sink, ref_dir) -> Callable[[str], str]:
@@ -472,21 +468,14 @@ def write_assignment(
     the destination's directory when writing to a buffer bound for a file,
     or its :func:`sidecar_names` when several calls write to one file.
     """
-    num_labels = len(label_names) if label_names is not None else (
-        max(assignment.labels) + 1 if assignment.labels else 0
-    )
-    assignment.validate_for(session, max(num_labels, 1))
-
-    def name(c: int) -> str:
-        if label_names is not None:
-            return label_names[c]
-        return f"spk{c}"
-
+    if label_names is None:
+        label_names = [f"spk{c}" for c in range(max(assignment.labels, default=-1) + 1)]
+    assignment.validate_for(session, max(len(label_names), 1))
     ref_file = _ref_files(sink, ref_dir)
     _write_lines(
         sink,
         (
-            _dump_record(seg, name(c), ref_file)
+            _dump_record(seg, label_names[c], ref_file)
             for seg, c in zip(session.segments, assignment.labels)
         ),
     )

@@ -2,6 +2,8 @@
 
 import io
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -137,6 +139,69 @@ def test_reference_text_fields_must_be_strings(tmp_path, capsys, key, value):
     argv = ["cpwer", "--reference", str(reference), "--hyp", str(segments)]
     assert cli.main(argv) == 1
     assert f"validation error: {message}" in capsys.readouterr().err
+
+
+def _rejected_with(tmp_path, capsys, records, message):
+    """``parse_segments`` and ``slrkit reassign`` reject ``records`` with ``message``."""
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        corpus.parse_segments(records)
+    path, out = tmp_path / "segments.jsonl", tmp_path / "out.jsonl"
+    path.write_bytes(records)
+    assert cli.main(["reassign", "--segments", str(path), "--out", str(out)]) == 1
+    assert f"validation error: {message}\n" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [("start", "0.5"), ("start", True), ("end", False), ("end", "4"), ("end", None)],
+)
+def test_segment_time_fields_must_be_numbers(tmp_path, capsys, key, value):
+    bad = {**seg_record(segment_id="b", start=3.0, end=4.0), key: value}
+    message = f"line 2: '{key}' must be a finite number"
+    _rejected_with(tmp_path, capsys, lines(seg_record(), bad), message)
+
+
+@pytest.mark.parametrize(
+    "start, end, message",
+    [
+        (3.0, float("inf"), "end must be a finite number, got inf"),
+        (float("inf"), 4.0, "end (4.0) must be greater than start (inf)"),
+        (float("nan"), 4.0, "start must be >= 0, got nan"),
+    ],
+    ids=["end-inf", "start-inf", "start-nan"],
+)
+def test_segment_time_fields_must_be_finite(tmp_path, capsys, start, end, message):
+    # json writes the floats as Infinity and NaN, which ``json.loads`` reads back
+    bad = seg_record(segment_id="b", start=start, end=end)
+    records = lines(seg_record(), bad)
+    _rejected_with(tmp_path, capsys, records, f"line 2: segment 'b': {message}")
+    with pytest.raises(ValueError, match=f"^segment 'b': {re.escape(message)}$"):
+        corpus.Segment("s1", "b", start, end, "spk0", (), np.ones(2))
+
+
+def test_integer_times_are_read_and_written_as_floats():
+    (session,) = corpus.parse_segments(lines(seg_record(start=0, end=2)))
+    assert (session.segments[0].start, session.segments[0].end) == (0.0, 2.0)
+    out = io.StringIO()
+    corpus.write_segments(session, out)
+    assert json.loads(out.getvalue()) == seg_record(start=0.0, end=2.0)
+    assert '"start": 0.0, "end": 2.0' in out.getvalue()
+
+
+@pytest.mark.parametrize(
+    "embedding",
+    [["1.5", "2"], [True, False], [1.0, True], [1.0, None], [1.0, {}], "12", 5, None],
+)
+def test_inline_embedding_must_be_a_list_of_numbers(tmp_path, capsys, embedding):
+    bad = seg_record(segment_id="b", start=3.0, end=4.0, embedding=embedding)
+    message = "line 2: 'embedding' must be a list of numbers"
+    _rejected_with(tmp_path, capsys, lines(seg_record(), bad), message)
+
+
+def test_inline_embedding_may_mix_integers_and_floats():
+    (session,) = corpus.parse_segments(lines(seg_record(embedding=[1, 2.5, 10**30])))
+    np.testing.assert_array_equal(session.segments[0].embedding, [1.0, 2.5, 1e30])
 
 
 def test_segment_with_empty_asr_output_is_retained():
@@ -428,6 +493,37 @@ def test_malformed_embedding_ref_names_its_line(tmp_path, capsys, ref):
     argv = ["reassign", "--segments", str(path), "--out", str(tmp_path / "out.jsonl")]
     assert cli.main(argv) == 1
     assert f"validation error: {message}" in capsys.readouterr().err
+
+
+def test_sidecar_read_once_and_each_file_string_resolved_once(tmp_path, monkeypatch):
+    embeddings = np.arange(1.0, 9.0).reshape(4, 2)
+    corpus.write_embeddings_sidecar(tmp_path / "emb.slre", embeddings)
+    names = ["emb.slre", "./emb.slre", "emb.slre", "./emb.slre"]
+    records = [
+        seg_record(segment_id=f"seg{i}", embedding_ref={"file": name, "index": i})
+        for i, name in enumerate(names)
+    ]
+    for r in records:
+        del r["embedding"]
+    path = tmp_path / "segments.jsonl"
+    path.write_bytes(lines(*records))
+    sidecar = str((tmp_path / "emb.slre").resolve())
+    reads, resolves = [], []
+    read, resolve = corpus.read_embeddings_sidecar, Path.resolve
+    monkeypatch.setattr(
+        corpus, "read_embeddings_sidecar", lambda p: reads.append(p) or read(p)
+    )
+    monkeypatch.setattr(
+        Path, "resolve", lambda self: resolves.append(self) or resolve(self)
+    )
+    (session,) = corpus.parse_segments(path)
+    assert reads == [sidecar]
+    assert len(resolves) == 2  # once per distinct ``file`` string
+    assert {seg.embedding_ref[0] for seg in session.segments} == {sidecar}
+    assert session.embeddings()[:, 0].tolist() == [1.0, 3.0, 5.0, 7.0]
+    # nothing is kept between calls: the next parse reads the file again
+    corpus.parse_segments(path)
+    assert reads == [sidecar, sidecar]
 
 
 def test_assignment_validation():

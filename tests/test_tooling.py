@@ -50,6 +50,21 @@ def test_workload_output_passes_the_benchmark_check(tmp_path, monkeypatch, name)
     assert outcome.cpwer_after > 0
 
 
+def test_traced_relabel_reads_its_sidecar_once_per_pass(tmp_path, monkeypatch):
+    tracing = load_script(monkeypatch, "perfbench_tracing", TRACING)
+    workloads = load_script(monkeypatch, "workloads", PERFBENCH / "workloads.py")
+    workload = workloads.WORKLOADS["relabel"]
+    workloads.write_inputs(workload, 1, tmp_path)
+    sidecar = tmp_path / workloads.SIDECAR
+    # the same paths twice in one process, as the benchmark's passes run
+    for _ in range(2):
+        tracer = tracing.Tracer()
+        with tracer.installed():
+            assert cli.main(workload.argv(tmp_path, 1)) == 0
+        reads = [s for s in tracer.spans if s.name == "corpus.read_embeddings_sidecar"]
+        assert [s.note for s in reads] == [(sidecar.stat().st_size, 0)]
+
+
 def slrkit_imports(tree):
     """Local name -> (module, name) for each name a script imports from slrkit."""
     imports = {}
