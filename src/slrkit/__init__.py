@@ -39,7 +39,6 @@ from .spectral import (
     discretize,
     normalized_laplacian,
     spectral_cluster,
-    spectral_features,
     symmetric_eig,
 )
 
@@ -73,7 +72,6 @@ __all__ = [
     "reassign",
     "relative_confusion_error",
     "spectral_cluster",
-    "spectral_features",
     "symmetric_eig",
     "unit_normalize",
     "write_assignment",

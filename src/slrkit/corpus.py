@@ -247,6 +247,8 @@ _REFERENCE_KEYS = ("session_id", "speaker", "words")
 _SEGMENT_ONLY_KEYS = {"segment_id", "start", "end", "embedding", "embedding_ref"}
 # a nested list is left to ``Segment``, which rejects it as not a vector
 _EMBEDDING_ELEMENTS = {int, float, list}
+# ``float()`` raises ``OverflowError`` on an integer of this magnitude or more
+_FLOAT_OVERFLOW = 2**1024 - 2**970
 
 
 def parse_segments(stream) -> list[SessionHypothesis]:
@@ -262,8 +264,9 @@ def parse_segments(stream) -> list[SessionHypothesis]:
 
     Raises ``ValueError`` with the offending line number for malformed
     records (a text field that is not a JSON string, a time field that is
-    not a finite JSON number, or an inline embedding that is not a list of
-    numbers among them), segment ids repeated within a session, zero-norm
+    not a finite JSON number or is an integer too large for a float, or an
+    inline embedding that is not a list of numbers or holds such an integer
+    among them), segment ids repeated within a session, zero-norm
     embeddings, and non-positive durations, and naming the session for
     inconsistent embedding dimensions (checked by ``SessionHypothesis``).
     """
@@ -284,7 +287,9 @@ def parse_segments(stream) -> list[SessionHypothesis]:
                 raise ValueError(f"line {lineno}: {key!r} must be a string")
         # exact types turn away booleans; ``Segment`` rejects what is not finite
         for key in ("start", "end"):
-            if type(record[key]) not in (int, float):
+            if type(record[key]) is not float and (
+                type(record[key]) is not int or abs(record[key]) >= _FLOAT_OVERFLOW
+            ):
                 raise ValueError(f"line {lineno}: {key!r} must be a finite number")
         embedding_ref = None
         if "embedding" in record:
@@ -327,6 +332,9 @@ def parse_segments(stream) -> list[SessionHypothesis]:
             )
         except (TypeError, ValueError) as exc:
             raise ValueError(f"line {lineno}: {exc}") from exc
+        except OverflowError as exc:
+            # the times passed the bound: an embedding integer too big for a float
+            raise ValueError(f"line {lineno}: 'embedding' values must be finite") from exc
         first = seen.setdefault((segment.session_id, segment.segment_id), lineno)
         if first != lineno:
             raise ValueError(

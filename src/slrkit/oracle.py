@@ -100,22 +100,23 @@ def _free_end_gap_costs(
 
 
 def _exact_search(
-    segments: list[tuple[str, ...]], refs: list[tuple[str, ...]], incumbent: int
+    segments: list[tuple[str, ...]], refs: list[tuple[str, ...]], costs: np.ndarray,
+    incumbent: int,
 ) -> tuple[int, list[int]]:
     """Lexicographically smallest minimizer of the total edit cost, and its cost.
 
     Segments are consumed in the given (stream) order, so each partial
     assignment extends the per-speaker kernel columns in place.  A completion
     costs at least the column minima plus, per remaining segment, its
-    cheapest free-end-gap cost: the rest of reference ``c`` splits into one
-    window per segment that cluster ``c`` still receives.  The best cost
-    starts above ``incumbent``, the greedy cost, and only a lower cost
-    replaces it, so pruning where the bound reaches it never cuts the
-    smallest minimizer: every labeling visited before it costs more.
+    cheapest free-end-gap cost in ``costs``: the rest of reference ``c``
+    splits into one window per segment that cluster ``c`` still receives.
+    The best cost starts above ``incumbent``, the greedy cost, and only a
+    lower cost replaces it, so pruning where the bound reaches it never cuts
+    the smallest minimizer: every labeling visited before it costs more.
     """
     k = len(refs)
     num_segments = len(segments)
-    lows = _free_end_gap_costs(segments, refs).min(axis=1)
+    lows = costs.min(axis=1)
     rest = np.append(np.cumsum(lows[::-1])[::-1], 0).tolist()
     masks = [_match_masks(ref) for ref in refs]
     columns = [_advance(masks[r], len(refs[r]), ()) for r in range(k)]
@@ -275,13 +276,14 @@ def _descend(
 def _greedy_search(
     segments: list[tuple[str, ...]],
     refs: list[tuple[str, ...]],
+    costs: np.ndarray,
     start: Sequence[int | None] | None = None,
     start_cost: int | None = None,
 ) -> tuple[int, list[int]]:
     """Descent on the diagonal objective from the cheaper of two labelings.
 
     One is the free-end-gap start: each segment at the reference it matches
-    best (first on ties), from the S x k costs of ``_free_end_gap_costs``.
+    best (first on ties), from ``costs``, the ``_free_end_gap_costs`` table.
     The other is ``start``, a reference index per segment, where a ``None``
     takes the free-end-gap choice; ``start_cost``, when the caller knows it,
     is its diagonal cost, and is computed otherwise.  The descent runs at
@@ -295,7 +297,6 @@ def _greedy_search(
     free-end-gap start is checked first, as it wins ties), and the descent
     stops once it reaches B.
     """
-    costs = _free_end_gap_costs(segments, refs)
     bound = int(costs.min(axis=1).sum())
     labels = costs.argmin(axis=1).tolist()
     cost = _diagonal_cost(segments, refs, labels)
@@ -375,9 +376,10 @@ def oracle_assignment(
         if None not in start:
             # each reference's stream is that of the speaker paired with it
             start_cost = report.errors
-    cost, labels = _greedy_search(segments, refs, start, start_cost)
+    costs = _free_end_gap_costs(segments, refs)
+    cost, labels = _greedy_search(segments, refs, costs, start, start_cost)
     if mode == "exact":
-        cost, labels = _exact_search(segments, refs, cost)
+        cost, labels = _exact_search(segments, refs, costs, cost)
 
     assignment, report = scored(labels)
     while report.errors < cost:

@@ -1,8 +1,8 @@
 """Spectral clustering on the symmetric normalized graph Laplacian.
 
-Pipeline: adjacency -> degree -> normalized Laplacian -> eigenvectors of the
-smallest eigenvalues -> per-segment feature vectors -> hard labels via the
-alternating rotation/argmax procedure ("discretize").
+Pipeline: adjacency -> degree -> normalized Laplacian -> the k eigenvectors of
+the smallest eigenvalues -> hard labels via the alternating rotation/argmax
+procedure ("discretize"), which reads the solver's columns as returned.
 
 Clustering computes only the k eigenvectors it uses, with one LAPACK subset
 solver call (``scipy.linalg.eigh(..., subset_by_index=[0, k - 1])``);
@@ -57,26 +57,6 @@ def symmetric_eig(L: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.linalg.eigh(A)
 
 
-def spectral_features(eigenvectors: np.ndarray, num_features: int) -> np.ndarray:
-    """Per-node features from the first ``num_features`` eigenvector columns.
-
-    Row i stacks entry i of each selected eigenvector.  Each selected
-    column's sign is fixed so its largest-magnitude entry is positive, which
-    stabilizes the downstream clustering across runs and platforms.
-    """
-    V = np.asarray(eigenvectors, dtype=np.float64)
-    if num_features > V.shape[1]:
-        raise ValueError(
-            f"requested {num_features} features from {V.shape[1]} eigenvectors"
-        )
-    F = V[:, :num_features].copy()
-    for j in range(F.shape[1]):
-        pivot = np.argmax(np.abs(F[:, j]))
-        if F[pivot, j] < 0:
-            F[:, j] = -F[:, j]
-    return F
-
-
 def discretize(features: np.ndarray, num_clusters: int, seed) -> np.ndarray:
     """Turn eigenvector features into hard labels via alternating rotation fits.
 
@@ -87,6 +67,12 @@ def discretize(features: np.ndarray, num_clusters: int, seed) -> np.ndarray:
     less than ``DISCRETIZE_TOL`` or ``DISCRETIZE_MAX_ITER`` iterations.
 
     Argmax ties (including all-zero rows) resolve to the lowest label index.
+
+    Labels depend on the span of the columns, not their basis: for any
+    orthogonal Q (column sign flips and permutations among them),
+    ``features @ Q`` keeps the row norms and farthest-first rows and turns
+    each fitted rotation R into Q^T R, so every argmax is unchanged up to
+    float rounding.
     """
     X = np.array(features, dtype=np.float64)
     if X.ndim != 2:
@@ -149,6 +135,5 @@ def spectral_cluster(
     A = attenuate(affinity, session.durations(), cfg)
     L = normalized_laplacian(A)
     _, eigenvectors = scipy.linalg.eigh(L, subset_by_index=[0, k - 1])
-    features = spectral_features(eigenvectors, k)
-    labels = discretize(features, k, seed)
+    labels = discretize(eigenvectors, k, seed)
     return LabelAssignment(session_id=session.session_id, labels=tuple(labels))

@@ -3,6 +3,7 @@
 import io
 import json
 import re
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -154,7 +155,16 @@ def _rejected_with(tmp_path, capsys, records, message):
 
 @pytest.mark.parametrize(
     "key, value",
-    [("start", "0.5"), ("start", True), ("end", False), ("end", "4"), ("end", None)],
+    [
+        ("start", "0.5"),
+        ("start", True),
+        ("end", False),
+        ("end", "4"),
+        ("end", None),
+        # integers no float can hold; ``float()`` raises ``OverflowError``
+        pytest.param("start", 10**400, id="start-huge"),
+        pytest.param("end", -(2**1024 - 2**970), id="end-huge"),
+    ],
 )
 def test_segment_time_fields_must_be_numbers(tmp_path, capsys, key, value):
     bad = {**seg_record(segment_id="b", start=3.0, end=4.0), key: value}
@@ -197,6 +207,20 @@ def test_inline_embedding_must_be_a_list_of_numbers(tmp_path, capsys, embedding)
     bad = seg_record(segment_id="b", start=3.0, end=4.0, embedding=embedding)
     message = "line 2: 'embedding' must be a list of numbers"
     _rejected_with(tmp_path, capsys, lines(seg_record(), bad), message)
+
+
+@pytest.mark.parametrize("embedding", [[1.0, 10**400], [[-(10**400)]]], ids=["huge", "nested"])
+def test_inline_embedding_integer_too_large_for_a_float(tmp_path, capsys, embedding):
+    bad = seg_record(segment_id="b", start=3.0, end=4.0, embedding=embedding)
+    message = "line 2: 'embedding' values must be finite"
+    _rejected_with(tmp_path, capsys, lines(seg_record(), bad), message)
+
+
+def test_largest_integer_a_float_holds_is_read():
+    # one below the overflow bound rounds down to the largest float
+    big = 2**1024 - 2**970 - 1
+    (session,) = corpus.parse_segments(lines(seg_record(end=big, embedding=[big, 1])))
+    assert session.segments[0].end == session.segments[0].embedding[0] == sys.float_info.max
 
 
 def test_inline_embedding_may_mix_integers_and_floats():

@@ -220,7 +220,7 @@ def test_free_end_gap_bound_certifies_the_greedy_start(inputs, data):
     mapped = [choice if s is None else s for s, choice in zip(start, free)]
     # min keeps the first of equal costs: the free-end-gap start wins ties
     chosen = min((free, mapped), key=lambda x: oracle._diagonal_cost(segments, refs, x))
-    assert _greedy_search(segments, refs, start) == oracle._descend(segments, refs, chosen)
+    assert _greedy_search(segments, refs, costs, start) == oracle._descend(segments, refs, chosen)
 
 
 def test_greedy_relabels_through_a_cheaper_cpwer_pairing():
@@ -231,7 +231,8 @@ def test_greedy_relabels_through_a_cheaper_cpwer_pairing():
     ref = ReferenceTranscript(
         session_id="s", per_speaker={"A": (), "B": ("c",), "C": ("c", "c")}
     )
-    assert _greedy_search(*stream_inputs(session, ref)) == (3, [2, 1])
+    segments, refs = stream_inputs(session, ref)
+    assert _greedy_search(segments, refs, _free_end_gap_costs(segments, refs)) == (3, [2, 1])
     assignment, report = oracle_assignment(session, ref, "greedy")
     assert assignment.labels == (1, 2)
     assert report.errors == 2
@@ -428,6 +429,27 @@ def test_exact_oracle_fails_loudly_on_a_wrong_greedy_cost(monkeypatch):
         oracle_assignment(session, ref, "exact")
 
 
+def test_oracle_builds_the_free_end_gap_table_once(monkeypatch):
+    # the greedy search and the branch and bound share one S x k table
+    calls = []
+    table = oracle._free_end_gap_costs
+
+    def spy(segments, refs):
+        calls.append(len(segments))
+        return table(segments, refs)
+
+    monkeypatch.setattr(oracle, "_free_end_gap_costs", spy)
+    rng = np.random.default_rng(6)
+    for _ in range(5):
+        session, ref, truth = random_fixture(rng, max_segments=6)
+        speakers = [f"spk{c}" for c in truth.labels]
+        starts = [(speakers, cpwer_from_segments(ref, session, truth))]
+        for mode in ("exact", "greedy"):
+            calls.clear()
+            oracle_assignment(session, ref, mode, starts=starts)
+            assert calls == [len(session.segments)], mode
+
+
 def test_greedy_oracle_meeting_scale_regression():
     # 40 segments of 90-110 words over 4 speakers sharing a 300-word
     # vocabulary: about 1000 words per reference speaker.  The pinned error
@@ -558,10 +580,11 @@ def test_greedy_search_matches_full_stream_reference():
     start_changed = start_kept = 0
     for segments, refs, case_start in greedy_cases():
         results = []
+        costs = _free_end_gap_costs(segments, refs)
         for start in (None, case_start):
             moves = []
             expected = full_stream_greedy(segments, refs, moves, start)
-            assert _greedy_search(segments, refs, start) == expected, (segments, refs, start)
+            assert _greedy_search(segments, refs, costs, start) == expected, (segments, refs, start)
             results.append(expected)
             emptied += any(source for source, _ in moves)
             into_empty += any(target for _, target in moves)
@@ -631,7 +654,8 @@ def test_greedy_decode_blocks_bound_memory_not_results(monkeypatch):
     )
     session, ref, _ = generate_session(spec, session_seed(5, 0))
     segments, refs = stream_inputs(session, ref)
-    costs, expected = _free_end_gap_costs(segments, refs), _greedy_search(segments, refs)
+    costs = _free_end_gap_costs(segments, refs)
+    expected = _greedy_search(segments, refs, costs)
     k, width = len(refs), max(len(r) for r in refs)
     monkeypatch.setattr(oracle, "DECODE_BLOCK", 1 << 14)
     assert 4 * oracle.DECODE_BLOCK < (len(segments) - len(segments) // k) * (width + 1)
@@ -640,7 +664,7 @@ def test_greedy_decode_blocks_bound_memory_not_results(monkeypatch):
         assert (_free_end_gap_costs(segments, refs) == costs).all()
         setup_peak = tracemalloc.get_traced_memory()[1]
         tracemalloc.reset_peak()
-        assert _greedy_search(segments, refs) == expected
+        assert _greedy_search(segments, refs, costs) == expected
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -687,11 +711,11 @@ def test_greedy_start_cost_from_report_is_its_diagonal_cost(monkeypatch):
     passed = []
     search = oracle._greedy_search
 
-    def spy(segments, refs, start=None, start_cost=None):
+    def spy(segments, refs, costs, start=None, start_cost=None):
         if start_cost is not None:
             assert None not in start
             passed.append((start_cost, oracle._diagonal_cost(segments, refs, start)))
-        return search(segments, refs, start, start_cost)
+        return search(segments, refs, costs, start, start_cost)
 
     monkeypatch.setattr(oracle, "_greedy_search", spy)
     evaluate = workload_sessions(

@@ -4,6 +4,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from slrkit.affinity import AttenuationConfig, attenuate, cosine_affinity
 from slrkit.corpus import Segment, SessionHypothesis
@@ -13,7 +15,6 @@ from slrkit.spectral import (
     discretize,
     normalized_laplacian,
     spectral_cluster,
-    spectral_features,
     symmetric_eig,
 )
 
@@ -188,48 +189,14 @@ def test_zero_eigenvalue_multiplicity_matches_components():
         assert int(np.sum(np.abs(w) < 1e-8)) == num_blocks
 
 
-def test_features_single_eigenvector():
-    V = np.array([[0.6, 1.0], [0.8, 0.0]])
-    F = spectral_features(V, 1)
-    np.testing.assert_allclose(F[:, 0], [0.6, 0.8])
-
-
-def test_features_full_matrix_rows():
-    rng = np.random.default_rng(4)
-    M = rng.standard_normal((5, 5))
-    w, V = symmetric_eig(0.5 * (M + M.T))
-    F = spectral_features(V, 5)
-    # row i of the (sign-fixed) eigenvector matrix
-    for j in range(5):
-        col = V[:, j]
-        if col[np.argmax(np.abs(col))] < 0:
-            col = -col
-        np.testing.assert_allclose(F[:, j], col)
-
-
-def test_features_sign_fixed_largest_entry_positive():
-    rng = np.random.default_rng(5)
-    M = rng.standard_normal((8, 8))
-    _, V = symmetric_eig(0.5 * (M + M.T))
-    F = spectral_features(V, 4)
-    for j in range(4):
-        assert F[np.argmax(np.abs(F[:, j])), j] > 0
-
-
-def test_features_too_many_requested():
-    with pytest.raises(ValueError):
-        spectral_features(np.eye(3), 4)
-
-
 def test_two_block_features_identical_within_block():
-    rng = np.random.default_rng(6)
     # equal weights inside each block so degrees are constant per block
     A = np.zeros((7, 7))
     A[:3, :3] = 0.7
     A[3:, 3:] = 0.4
     np.fill_diagonal(A, 0.0)
-    w, V = symmetric_eig(normalized_laplacian(A))
-    F = spectral_features(V, 2)
+    _, V = symmetric_eig(normalized_laplacian(A))
+    F = V[:, :2]
     for block in (range(0, 3), range(3, 7)):
         rows = F[list(block)]
         assert np.all(np.abs(rows - rows[0]) < 1e-9)
@@ -264,6 +231,47 @@ def test_discretize_rotation_invariant_partition():
     base = discretize(onehot, 3, seed=11)
     alt = discretize(rotated, 3, seed=11)
     assert as_partition(base) == as_partition(alt)
+
+
+@st.composite
+def clustered_features(draw):
+    """(features, k, seed): noisy rows around k orthonormal centers, so no
+    argmax or farthest-first choice is close enough to a tie for float
+    rounding to decide it."""
+    k = draw(st.integers(2, 6))
+    rows = draw(st.integers(k, 8 * k))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    centers, _ = np.linalg.qr(rng.standard_normal((k, k)))
+    truth = rng.permutation(np.arange(rows) % k)
+    X = centers[truth] * rng.uniform(0.5, 2.0, (rows, 1))
+    return X + 0.05 * rng.standard_normal((rows, k)), k, draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(clustered_features(), st.data())
+def test_discretize_labels_independent_of_feature_basis(inputs, data):
+    # the rounding sees only the span: a random orthogonal Q, a column sign
+    # flip and a column permutation leave every label as it is
+    X, k, seed = inputs
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    Q, _ = np.linalg.qr(rng.standard_normal((k, k)))
+    signs = np.diag(data.draw(st.lists(st.sampled_from([-1.0, 1.0]), min_size=k, max_size=k)))
+    permutation = np.eye(k)[:, data.draw(st.permutations(range(k)))]
+    labels = discretize(X, k, seed)
+    for basis in (Q, signs, permutation):
+        assert np.array_equal(discretize(X @ basis, k, seed), labels)
+
+
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(st.integers(2, 6), st.integers(2, 6), st.integers(0, 2**32 - 1), st.data())
+def test_spectral_cluster_equal_disconnected_blocks(k, size, seed, data):
+    # k identical complete blocks: eigenvalue 0 has multiplicity k, so the
+    # solver may return any basis of its eigenspace, and the labels must
+    # still be exactly the blocks
+    truth = data.draw(st.permutations([i % k for i in range(k * size)]))
+    session = make_session(np.eye(k)[truth], k=k)
+    assignment = spectral_cluster(session, AttenuationConfig(), seed=seed)
+    assert as_partition(assignment.labels) == as_partition(truth)
 
 
 def test_discretize_single_cluster():
