@@ -113,6 +113,34 @@ def _packed_masks(patterns: Iterable[Sequence[str]]) -> tuple[dict[str, int], li
     return masks, lanes
 
 
+class _PackedReference(ReferenceTranscript):
+    """A reference that packs its speakers' words (``_packed_masks``) only once.
+
+    ``pipeline._evaluate`` scores one session's labelings and its oracle
+    against one, so every cost matrix and the free-end-gap table of that
+    session share one packing, which lives as long as the call.
+    """
+
+    @functools.cached_property
+    def packed(self) -> tuple[dict[str, int], list[int]]:
+        return _packed_masks(self.per_speaker.values())
+
+
+def _reference_packing(
+    reference: ReferenceTranscript | Mapping[str, Sequence[str]],
+    patterns: Sequence[Sequence[str]],
+) -> tuple[dict[str, int], list[int]]:
+    """``_packed_masks(patterns)``: ``reference``'s speakers in order, then empty ones.
+
+    An empty pattern adds a lane of no bits, so a ``_PackedReference``'s
+    packing serves with one zero lane per padded speaker.
+    """
+    if not isinstance(reference, _PackedReference):
+        return _packed_masks(patterns)
+    masks, lanes = reference.packed
+    return masks, lanes + [0] * (len(patterns) - len(lanes))
+
+
 def _match_masks(pattern: Sequence[str]) -> dict[str, int]:
     """Bit ``i`` of ``masks[token]`` is set where ``pattern[i] == token``."""
     return _packed_masks([pattern])[0]
@@ -286,15 +314,18 @@ def _speaker_streams(
 
 
 def _cost_matrix(
-    ref_streams: Sequence[tuple[str, ...]], hyp_streams: Sequence[tuple[str, ...]]
+    ref_streams: Sequence[tuple[str, ...]],
+    hyp_streams: Sequence[tuple[str, ...]],
+    packed: tuple[dict[str, int], list[int]] | None = None,
 ) -> np.ndarray:
     """Cost ``[i, j]``: distance of reference stream ``i`` to hypothesis stream ``j``.
 
     Each reference takes a lane of its own, so a hypothesis stream is one
     kernel pass, and a lane's cost is the hypothesis length (row 0 of every
-    lane) plus the popcount difference of its vertical deltas.
+    lane) plus the popcount difference of its vertical deltas.  ``packed``
+    is ``_packed_masks(ref_streams)`` when the caller already has it.
     """
-    masks, lanes = _packed_masks(ref_streams)
+    masks, lanes = _packed_masks(ref_streams) if packed is None else packed
     full = sum(lanes)
     bottoms = sum(lane & -lane for lane in lanes)
     cost = np.empty((len(ref_streams), len(hyp_streams)), dtype=np.int64)
@@ -326,7 +357,12 @@ def _scored(
     size = max(len(ref_map), len(hyp_map))
     refs = list(ref_map.items()) + [(None, ())] * (size - len(ref_map))
     hyps = list(hyp_map.items()) + [(None, ())] * (size - len(hyp_map))
-    cost = _cost_matrix([words for _, words in refs], [words for _, words in hyps])
+    ref_streams = [words for _, words in refs]
+    cost = _cost_matrix(
+        ref_streams,
+        [words for _, words in hyps],
+        _reference_packing(reference, ref_streams),
+    )
     errors = 0
     streams: list[_Aligned] = []
     mapping: dict[str, str | None] = {}

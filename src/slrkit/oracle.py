@@ -16,7 +16,9 @@ best-matching window of reference ``c`` (approximate substring matching,
 Sellers 1980), give the lower bound B = sum over ``i`` of min_c g(i, c) on
 the objective of every labeling.  The greedy search stops as soon as its
 labeling costs B, which proves it optimal, and the exact search adds the
-bound of the segments it has not placed yet to its pruning.
+bound of the segments it has not placed yet to its pruning.  A caller's
+labeling that already costs B is returned first, with the caller's own cpWER
+report renamed to the reference speakers, so nothing is aligned again.
 
 The initialization and both searches align with the bit-parallel
 Levenshtein kernel of :mod:`slrkit.metrics`: the initialization in one pass
@@ -44,6 +46,7 @@ from .metrics import (
     _match_masks,
     _myers,
     _packed_masks,
+    _reference_packing,
     cpwer_from_segments,
     token_distance,
 )
@@ -68,7 +71,9 @@ def _blocks(items: list, row_values: int) -> Iterator[list]:
 
 
 def _free_end_gap_costs(
-    segments: Sequence[Sequence[str]], refs: Sequence[Sequence[str]]
+    segments: Sequence[Sequence[str]],
+    refs: Sequence[Sequence[str]],
+    packed: tuple[dict[str, int], list[int]] | None = None,
 ) -> np.ndarray:
     """Edit cost of each segment against its best-matching window of each reference.
 
@@ -80,8 +85,9 @@ def _free_end_gap_costs(
     block of segments are decoded together as one pattern: a lane's row 0
     holds the segment length, and the zero guard bits between lanes leave the
     running sum unchanged, so each lane's rows are re-anchored at its row 0.
+    ``packed`` is ``_packed_masks(refs)`` when the caller already has it.
     """
-    masks, lanes = _packed_masks(refs)
+    masks, lanes = _packed_masks(refs) if packed is None else packed
     full = sum(lanes)
     bottoms = sum(lane & -lane for lane in lanes)
     offsets = np.cumsum([0] + [len(ref) + 1 for ref in refs[:-1]])
@@ -293,15 +299,19 @@ def _greedy_search(
     B, the sum over segments of their cheapest free-end-gap cost, bounds
     every labeling's objective from below: an optimal alignment of ``ref_c``
     to cluster ``c``'s stream splits it into one window per segment.  A
-    start that costs B is optimal, so it is returned without a descent (the
-    free-end-gap start is checked first, as it wins ties), and the descent
-    stops once it reaches B.
+    start that costs B is optimal, so it is returned without a descent, and
+    the descent stops once it reaches B.  A ``start`` whose known
+    ``start_cost`` is B is returned first, before the free-end-gap start is
+    aligned; otherwise the free-end-gap start is checked first and wins ties.
     """
     bound = int(costs.min(axis=1).sum())
     labels = costs.argmin(axis=1).tolist()
+    if start is not None:
+        mapped = [free if s is None else s for s, free in zip(start, labels)]
+        if start_cost == bound:
+            return start_cost, mapped
     cost = _diagonal_cost(segments, refs, labels)
     if start is not None and cost > bound:
-        mapped = [free if s is None else s for s, free in zip(start, labels)]
         if start_cost is None:
             start_cost = _diagonal_cost(segments, refs, mapped)
         if start_cost < cost:
@@ -335,6 +345,17 @@ def oracle_assignment(
     cpWER errors, so the result scores no worse than any start; when every
     segment maps, the cost is those errors and is not aligned again.  If the
     cpWER pairing of the result beats the identity, it relabels and descends.
+
+    When every segment maps and the start costs B, the free-end-gap bound,
+    the greedy search returns it before it aligns the free-end-gap start,
+    which loses the tie.  When greedy mode returns a fully mapped start
+    unchanged, its report is the caller's: the same errors, reference words
+    and cpWER, with the identity mapping over the reference speakers and
+    each reference paired with its own cluster's stream.  The caller's
+    optimal pairing proves the identity optimal for that labeling, so no
+    cost matrix is built.  Without ``starts`` (``slrkit oracle``), and in
+    exact mode, the report is the Hungarian cpWER of the result, and exact
+    mode still returns the lexicographically smallest minimizer.
     """
     if mode not in ("exact", "greedy"):
         raise ValueError(f"mode must be 'exact' or 'greedy', got {mode!r}")
@@ -371,15 +392,28 @@ def oracle_assignment(
 
     start = start_cost = None
     if starts:
-        speakers, report = min(starts, key=lambda s: s[1].errors)
-        start = mapped(speakers, report)
+        speakers, known = min(starts, key=lambda s: s[1].errors)
+        start = mapped(speakers, known)
         if None not in start:
             # each reference's stream is that of the speaker paired with it
-            start_cost = report.errors
-    costs = _free_end_gap_costs(segments, refs)
+            start_cost = known.errors
+    costs = _free_end_gap_costs(segments, refs, _reference_packing(reference, refs))
     cost, labels = _greedy_search(segments, refs, costs, start, start_cost)
     if mode == "exact":
         cost, labels = _exact_search(segments, refs, costs, cost)
+    elif start_cost is not None and labels == start:
+        # the caller's report scores this labeling: its optimal pairing,
+        # renamed to the mapped references, is the identity
+        streams = tuple(
+            (ref, ref, words, hyp)
+            for ref, _, words, hyp in known.streams
+            if ref is not None
+        )
+        mapping = {label: label for label in ref_labels}
+        assignment = LabelAssignment(session_id=session.session_id, labels=labels)
+        return assignment, CpWerReport(
+            known.errors, known.ref_words, known.cpwer, mapping, streams
+        )
 
     assignment, report = scored(labels)
     while report.errors < cost:

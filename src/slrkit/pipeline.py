@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
 from dataclasses import dataclass, field
 
@@ -11,7 +12,7 @@ import numpy as np
 from .affinity import AttenuationConfig, cosine_affinity, duration_factors
 from .corpus import LabelAssignment, ReferenceTranscript, SessionHypothesis, Segment
 from .kmeans import kmeans_pp, unit_normalize
-from .metrics import CpWerReport, cpwer, cpwer_from_segments
+from .metrics import CpWerReport, _PackedReference, cpwer, cpwer_from_segments
 from .oracle import exact_fits_budget, oracle_assignment, relative_confusion_error
 from .spectral import spectral_cluster
 
@@ -107,8 +108,10 @@ def _evaluate(
     the assignments that repeat it.  The oracle (exact when the enumeration
     fits its budget, greedy otherwise) starts from every distinct labeling
     scored here, so it bounds them all; a repeat would lose the oracle's
-    ties to its first occurrence anyway.
+    ties to its first occurrence anyway.  All of them share one packing of
+    the reference speakers' words.
     """
+    reference = _PackedReference(reference.session_id, reference.per_speaker)
     before = cpwer(reference, initial_speaker_streams(session))
     starts = [([seg.initial_speaker for seg in session.segments], before)]
     scored: dict[tuple[int, ...], CpWerReport] = {}
@@ -154,6 +157,26 @@ def reassign(
     )
 
 
+def _check_integer(name: str, value, low: int) -> None:
+    """Reject ``value`` unless it is an integer (not a boolean) of at least ``low``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
+        raise ValueError(f"{name} must be an integer >= {low}")
+
+
+def _check_finite(name: str, value) -> None:
+    """Reject ``value`` unless it is a real number (not a boolean) a float holds finitely."""
+    try:
+        finite = (
+            not isinstance(value, bool)
+            and isinstance(value, numbers.Real)
+            and math.isfinite(value)
+        )
+    except OverflowError:  # an integer too large for a float
+        finite = False
+    if not finite:
+        raise ValueError(f"{name} must be a finite number")
+
+
 @dataclass(frozen=True)
 class DurationBucket:
     """A group of synthetic segments sharing a duration range and noise level."""
@@ -164,8 +187,9 @@ class DurationBucket:
     embed_sigma: float
 
     def __post_init__(self):
-        if self.count < 1:
-            raise ValueError("bucket count must be >= 1")
+        _check_integer("bucket count", self.count, 1)
+        for name in ("min_duration", "max_duration", "embed_sigma"):
+            _check_finite(name, getattr(self, name))
         if not 0 < self.min_duration <= self.max_duration:
             raise ValueError("need 0 < min_duration <= max_duration")
         if self.embed_sigma < 0:
@@ -193,14 +217,19 @@ class SynthSpec:
                                    for b in self.buckets)
         )
         object.__setattr__(self, "words_per_segment", tuple(self.words_per_segment))
-        if self.num_speakers < 1 or self.dim < 1:
-            raise ValueError("num_speakers and dim must be >= 1")
+        _check_integer("num_speakers", self.num_speakers, 1)
+        _check_integer("dim", self.dim, 1)
+        _check_integer("vocab_size", self.vocab_size, 1)
         if not 0 < self.min_angle_deg < 180:
             raise ValueError("min_angle_deg must be in (0, 180)")
         if not self.buckets:
             raise ValueError("at least one duration bucket required")
+        if len(self.words_per_segment) != 2:
+            raise ValueError("words_per_segment must be [lo, hi]")
+        for bound in self.words_per_segment:
+            _check_integer("words_per_segment", bound, 0)
         lo, hi = self.words_per_segment
-        if not 0 <= lo <= hi:
+        if not lo <= hi:
             raise ValueError("words_per_segment must be 0 <= lo <= hi")
         if not 0 <= self.corruption <= 1 or not 0 <= self.confusion <= 1:
             raise ValueError("corruption and confusion must be in [0, 1]")
@@ -208,8 +237,6 @@ class SynthSpec:
             raise ValueError("noise_correlation must be in [0, 1]")
         if self.total_segments < self.num_speakers:
             raise ValueError("need at least one segment per speaker")
-        if self.vocab_size < 1:
-            raise ValueError("vocab_size must be >= 1")
 
     @property
     def total_segments(self) -> int:

@@ -604,6 +604,29 @@ def test_synth_refuses_to_write_over_its_spec(tmp_path, capsys):
     assert [p.name for p in tmp_path.iterdir()] == [spec.name]
 
 
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        # an integer too large for a float; json.dumps writes all 401 digits
+        ("max_duration", 10**400, "max_duration must be a finite number"),
+        ("dim", 4.5, "dim must be an integer >= 1"),
+        ("count", 2.5, "bucket count must be an integer >= 1"),
+        ("embed_sigma", float("nan"), "embed_sigma must be a finite number"),
+        ("embed_sigma", float("inf"), "embed_sigma must be a finite number"),
+    ],
+    ids=["huge-int-max_duration", "float-dim", "float-count", "nan-sigma", "inf-sigma"],
+)
+def test_synth_rejects_a_bad_numeric_spec_field(tmp_path, capsys, field, value, message):
+    raw = json.loads(json.dumps(SPEC))
+    (raw if field in raw else raw["buckets"][0])[field] = value
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(raw), encoding="utf-8")
+    argv = ["synth", "--spec", str(spec), "--out-prefix", str(tmp_path / "d")]
+    assert cli.main(argv) == 1
+    assert f"validation error: {message}" in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == [spec.name]
+
+
 @pytest.mark.parametrize("command", ["reassign", "oracle"])
 def test_sidecar_name_resolved_once_per_command(synth_corpus, monkeypatch, command):
     # two sessions read through one sidecar: its name in the output is

@@ -15,8 +15,16 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from slrkit.corpus import LabelAssignment, ReferenceTranscript, Segment, SessionHypothesis
-from slrkit.metrics import _advance, _match_masks, cpwer_from_segments, token_distance
-from slrkit import oracle
+from slrkit.metrics import (
+    _advance,
+    _match_masks,
+    assignment_streams,
+    brute_force_cpwer,
+    cpwer,
+    cpwer_from_segments,
+    token_distance,
+)
+from slrkit import cli, corpus, oracle
 from slrkit.oracle import (
     _free_end_gap_costs,
     _greedy_search,
@@ -434,9 +442,9 @@ def test_oracle_builds_the_free_end_gap_table_once(monkeypatch):
     calls = []
     table = oracle._free_end_gap_costs
 
-    def spy(segments, refs):
+    def spy(segments, refs, *packed):
         calls.append(len(segments))
-        return table(segments, refs)
+        return table(segments, refs, *packed)
 
     monkeypatch.setattr(oracle, "_free_end_gap_costs", spy)
     rng = np.random.default_rng(6)
@@ -763,3 +771,152 @@ def test_greedy_oracle_stops_at_the_bound_on_the_evaluate_workload(monkeypatch):
     bound = _free_end_gap_costs(segments, refs).min(axis=1).sum()
     assert report.cpwer_oracle.errors == bound
     assert calls == []
+
+
+def certified_tie_fixture():
+    """Three segments whose labelings (0, 0, 1) and (0, 1, 1) both cost B = 1.
+
+    The first is the free-end-gap start; the second is scored here as a
+    caller's start, under the names ``spk0`` and ``spk1``.
+    """
+    session = make_session(["a", "b", "a a"])
+    ref = ReferenceTranscript(session_id="s", per_speaker={"A": ("a",), "B": ("a", "a")})
+    known = cpwer_from_segments(ref, session, LabelAssignment(session_id="s", labels=(0, 1, 1)))
+    return session, ref, [(["spk0", "spk1", "spk1"], known)]
+
+
+def test_greedy_returns_a_caller_start_that_costs_the_bound(monkeypatch):
+    # the caller's start is returned before the free-end-gap start is
+    # aligned, and its report is the caller's, renamed: nothing is aligned
+    session, ref, starts = certified_tie_fixture()
+    segments, refs = stream_inputs(session, ref)
+    costs = _free_end_gap_costs(segments, refs)
+    assert costs.argmin(axis=1).tolist() == [0, 0, 1]
+    assert oracle._diagonal_cost(segments, refs, [0, 0, 1]) == costs.min(axis=1).sum() == 1
+    (_, known), = starts
+    assert (known.errors, known.mapping) == (1, {"spk0": "A", "spk1": "B"})
+
+    def fail(*args, **kwargs):
+        raise AssertionError("the certified start was aligned again")
+
+    monkeypatch.setattr(oracle, "_diagonal_cost", fail)
+    monkeypatch.setattr(oracle, "cpwer_from_segments", fail)
+    assignment, report = oracle_assignment(session, ref, "greedy", starts=starts)
+    monkeypatch.undo()
+
+    assert assignment.labels == (0, 1, 1)
+    check = brute_force_cpwer(
+        ref, assignment_streams(session, assignment, label_names=["A", "B"])
+    )
+    assert (report.errors, report.ref_words, report.cpwer) == (
+        check.errors, check.ref_words, check.cpwer
+    )
+    assert report.mapping == {"A": "A", "B": "B"}
+    assert [(r, h, counts.total) for r, h, counts in report.pairs] == [
+        ("A", "A", 0), ("B", "B", 1)
+    ]
+
+
+def test_exact_oracle_given_a_certified_start_keeps_the_smallest_minimizer():
+    session, ref, starts = certified_tie_fixture()
+    segments, refs = stream_inputs(session, ref)
+    costs = []
+    for labels in itertools.product(range(len(refs)), repeat=len(segments)):
+        costs.append((oracle._diagonal_cost(segments, refs, list(labels)), labels))
+    best = min(cost for cost, _ in costs)
+    first = next(labels for cost, labels in costs if cost == best)
+    assert (best, first) == (1, (0, 0, 1))
+    assignment, report = oracle_assignment(session, ref, "exact", starts=starts)
+    assert (report.errors, assignment.labels) == (best, first)
+    assert oracle_assignment(session, ref, "exact") == (assignment, report)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(scored_starts())
+def test_greedy_report_scores_its_labels(inputs):
+    # whichever path the greedy oracle takes, its report is the cpWER of its
+    # labels; where it returns the caller's start, the report is the
+    # caller's with each reference paired to its own cluster's stream
+    session, ref, starts = inputs
+    ref_labels = list(ref.per_speaker)
+    assignment, report = oracle_assignment(session, ref, "greedy", starts=starts)
+    streams = assignment_streams(session, assignment, label_names=ref_labels)
+    check = cpwer(ref, streams)
+    assert (report.errors, report.ref_words, report.cpwer) == (
+        check.errors, check.ref_words, check.cpwer
+    )
+    assert sum(counts.total for _, _, counts in report.pairs) == report.errors
+    speakers, known = min(starts, key=lambda s: s[1].errors)
+    start = [known.mapping.get(speaker) for speaker in speakers]
+    if None not in start and [ref_labels[c] for c in assignment.labels] == start:
+        assert report.errors == known.errors
+        assert report.mapping == {label: label for label in ref_labels}
+        assert report.streams == tuple(
+            (label, label, ref.per_speaker[label], streams[label]) for label in ref_labels
+        )
+
+
+def test_oracle_command_prints_the_hungarian_mapping_of_a_tie(tmp_path, capsys):
+    # "a" and "b" against two references "a": the greedy labeling (1, 0)
+    # costs B = 1, and both of its cpWER pairings cost 1.  `slrkit oracle`
+    # passes no start, so it prints the Hungarian pairing, not the identity.
+    session = make_session(["a", "b"])
+    ref = ReferenceTranscript(session_id="s", per_speaker={"A": ("a",), "B": ("a",)})
+    segments, references = tmp_path / "segments.jsonl", tmp_path / "reference.jsonl"
+    with open(segments, "w", encoding="utf-8") as fh:
+        corpus.write_segments(session, fh)
+    with open(references, "w", encoding="utf-8") as fh:
+        corpus.write_reference(ref, fh)
+    printed = {}
+    for mode in ("greedy", "exact"):
+        argv = [
+            "oracle", "--segments", str(segments), "--reference", str(references),
+            "--mode", mode, "--out", str(tmp_path / f"{mode}.jsonl"),
+        ]
+        assert cli.main(argv) == 0
+        printed[mode] = capsys.readouterr().out
+    assert printed["greedy"] == (
+        '{"session_id": "s", "cpwer": 0.5, "errors": 1, "ref_words": 2, '
+        '"mapping": {"B": "A", "A": "B"}}\n'
+    )
+    greedy = corpus.parse_segments(tmp_path / "greedy.jsonl")[0]
+    assert [seg.initial_speaker for seg in greedy.segments] == ["B", "A"]
+    assert printed["exact"] == (
+        '{"session_id": "s", "cpwer": 0.5, "errors": 1, "ref_words": 2, '
+        '"mapping": {"A": "A", "B": "B"}}\n'
+    )
+
+
+def test_evaluate_session_packs_its_references_once_and_aligns_no_oracle_stream(
+    monkeypatch,
+):
+    # the caller's best start costs B on the evaluate workload: the oracle
+    # neither aligns the free-end-gap start nor scores its result again, and
+    # the session's cost matrices and free-end-gap table share one packing
+    from slrkit import metrics
+    from slrkit.affinity import AttenuationConfig
+    from slrkit.pipeline import PipelineConfig, reassign
+
+    ((session, ref, _),) = workload_sessions(
+        "evaluate", (4,), 40, (0.3, 1.0),
+        dim=192, words_per_segment=(90, 110), corruption=0.1, vocab_size=300,
+    )
+    packings = []
+    pack = metrics._packed_masks
+
+    def counted(patterns):
+        packings.append(1)
+        return pack(patterns)
+
+    def fail(*args, **kwargs):
+        raise AssertionError("the oracle aligned a stream it already knows")
+
+    monkeypatch.setattr(metrics, "_packed_masks", counted)
+    monkeypatch.setattr(oracle, "_packed_masks", counted)
+    monkeypatch.setattr(oracle, "_diagonal_cost", fail)
+    monkeypatch.setattr(oracle, "cpwer_from_segments", fail)
+    cfg = PipelineConfig(attenuation=AttenuationConfig(mode="stepwise", alpha=0.25))
+    _, report = reassign(session, ref, cfg, seed=session_seed(1, 0))
+    assert len(packings) == 1
+    assert report.oracle_mode == "greedy"
+    assert report.cpwer_oracle.mapping == {label: label for label in ref.per_speaker}
