@@ -58,6 +58,13 @@ def parse_num_speakers(text: str) -> int | None:
     return value
 
 
+def parse_seed(text: str) -> int:
+    """A ``--seed``: a non-negative integer, as ``numpy.random.SeedSequence`` takes."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="slrkit", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -67,7 +74,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--algorithm", choices=["sc", "kmeans"], default="sc")
     p.add_argument("--attenuation", default="none", help="none|step:ALPHA|poly:BETA")
     p.add_argument("--num-speakers", default="auto", help="auto or a fixed count")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=parse_seed, default=0)
     p.add_argument("--out", required=True, help="relabeled segment records (JSONL)")
     p.add_argument("--reference", help="reference records (JSONL); enables scoring")
     p.add_argument("--report", help="where to write per-session score lines (JSONL)")
@@ -87,12 +94,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--segments", required=True)
     p.add_argument("--reference", required=True)
     p.add_argument("--sweep", default="step:0,0.1,0.25,1;poly:1,2,4,8,16")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=parse_seed, default=0)
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("synth", help="generate a synthetic corpus")
     p.add_argument("--spec", required=True, help="SynthSpec as JSON")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=parse_seed, default=0)
     p.add_argument("--out-prefix", required=True)
     p.add_argument("--sessions", type=int, default=1)
 

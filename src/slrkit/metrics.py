@@ -15,17 +15,17 @@ the smaller side is padded with empty dummy speakers, and the pairing that
 minimizes the total word errors is found with the Hungarian algorithm.
 A brute-force permutation search is provided as an independent check of the
 pairing; both pick from the same cost matrix and one function builds the
-report from either.  The split of the errors into substitutions, deletions
-and insertions is computed only when a report's ``pairs`` is first read:
-``edit_distance`` keeps the per-column deltas of one forward pass and walks
-back through them.
+report from either.  A report holds only the score and the pairing; the
+split of a pair's errors into substitutions, deletions and insertions is
+``edit_distance`` of its two streams, which keeps the per-column deltas of
+one forward pass and walks back through them.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -50,36 +50,21 @@ class EditCounts:
         return self.substitutions + self.deletions + self.insertions
 
 
-# (reference speaker, hypothesis speaker, reference words, hypothesis words)
-_Aligned = tuple[str | None, str | None, tuple[str, ...], tuple[str, ...]]
-
-
 @dataclass(frozen=True)
 class CpWerReport:
-    """cpWER value, the minimizing speaker mapping, and its error breakdown.
+    """cpWER value and the minimizing speaker mapping.
 
     ``mapping`` is hypothesis speaker -> reference speaker (``None`` when
-    unmatched).  ``streams`` holds (reference speaker, hypothesis speaker,
-    reference words, hypothesis words) per scored pair; a ``None`` speaker
-    marks a padded dummy.  ``pairs`` holds (reference speaker, hypothesis
-    speaker, counts) per scored pair: it is aligned from ``streams`` when
-    first read, and its counts must add up to ``errors``.
+    unmatched), in the pairing's order.  A pair's S/D/I split is
+    ``edit_distance(ref[r], hyp[h])`` for each ``h, r`` in ``mapping`` (with
+    ``()`` for the words of a ``None`` speaker), plus ``edit_distance(ref[r],
+    ())`` for each reference speaker left unmatched.
     """
 
     errors: int
     ref_words: int
     cpwer: float
     mapping: dict[str, str | None]
-    streams: tuple[_Aligned, ...] = field(default=(), repr=False)
-
-    @functools.cached_property
-    def pairs(self) -> tuple[tuple[str | None, str | None, EditCounts], ...]:
-        pairs = tuple(
-            (ref_label, hyp_label, edit_distance(ref, hyp))
-            for ref_label, hyp_label, ref, hyp in self.streams
-        )
-        assert sum(counts.total for _, _, counts in pairs) == self.errors
-        return pairs
 
 
 class _Column(NamedTuple):
@@ -347,7 +332,7 @@ def _scored(
 
     The smaller side is padded with empty dummy speakers, so the matrix is
     square; ``pairing`` returns (reference, hypothesis) index pairs, and the
-    report lists the scored pairs in that order, leaving out dummy-to-dummy.
+    mapping lists the hypothesis speakers in that order.
     """
     ref_map = _speaker_streams(reference)
     hyp_map = _speaker_streams(hypothesis)
@@ -364,17 +349,13 @@ def _scored(
         _reference_packing(reference, ref_streams),
     )
     errors = 0
-    streams: list[_Aligned] = []
     mapping: dict[str, str | None] = {}
     for i, j in pairing(cost):
         errors += int(cost[i, j])
-        (ref_label, ref), (hyp_label, hyp) = refs[i], hyps[j]
-        if ref_label is None and hyp_label is None:
-            continue
-        streams.append((ref_label, hyp_label, ref, hyp))
+        hyp_label = hyps[j][0]
         if hyp_label is not None:
-            mapping[hyp_label] = ref_label
-    return CpWerReport(errors, ref_words, errors / ref_words, mapping, tuple(streams))
+            mapping[hyp_label] = refs[i][0]
+    return CpWerReport(errors, ref_words, errors / ref_words, mapping)
 
 
 def cpwer(

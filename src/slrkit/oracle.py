@@ -32,6 +32,7 @@ D(ref, X + Y) = min_j D(ref[:j], X) + D(ref[j:], Y).
 from __future__ import annotations
 
 import bisect
+import dataclasses
 from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -336,7 +337,7 @@ def oracle_assignment(
     (#reference speakers) ** (#segments) <= ``EXACT_SEARCH_BUDGET``.
 
     ``starts`` are labelings the caller has already scored: per segment (in
-    session order) the hypothesis speaker name its ``CpWerReport`` pairs.
+    session order) the hypothesis speaker name that its ``CpWerReport`` maps.
     The greedy search, which both modes run first, maps the one with the
     fewest errors (first on ties) to reference speakers through
     ``report.mapping``, a segment of an unmapped speaker taking its
@@ -349,11 +350,10 @@ def oracle_assignment(
     When every segment maps and the start costs B, the free-end-gap bound,
     the greedy search returns it before it aligns the free-end-gap start,
     which loses the tie.  When greedy mode returns a fully mapped start
-    unchanged, its report is the caller's: the same errors, reference words
-    and cpWER, with the identity mapping over the reference speakers and
-    each reference paired with its own cluster's stream.  The caller's
-    optimal pairing proves the identity optimal for that labeling, so no
-    cost matrix is built.  Without ``starts`` (``slrkit oracle``), and in
+    unchanged, its report is the caller's, with the identity mapping over
+    the reference speakers: the caller's optimal pairing proves the identity
+    optimal for that labeling, so no cost matrix is built and no stream is
+    paired.  Without ``starts`` (``slrkit oracle``), and in
     exact mode, the report is the Hungarian cpWER of the result, and exact
     mode still returns the lexicographically smallest minimizer.
     """
@@ -404,15 +404,9 @@ def oracle_assignment(
     elif start_cost is not None and labels == start:
         # the caller's report scores this labeling: its optimal pairing,
         # renamed to the mapped references, is the identity
-        streams = tuple(
-            (ref, ref, words, hyp)
-            for ref, _, words, hyp in known.streams
-            if ref is not None
-        )
-        mapping = {label: label for label in ref_labels}
         assignment = LabelAssignment(session_id=session.session_id, labels=labels)
-        return assignment, CpWerReport(
-            known.errors, known.ref_words, known.cpwer, mapping, streams
+        return assignment, dataclasses.replace(
+            known, mapping={label: label for label in ref_labels}
         )
 
     assignment, report = scored(labels)

@@ -220,6 +220,10 @@ class SynthSpec:
         _check_integer("num_speakers", self.num_speakers, 1)
         _check_integer("dim", self.dim, 1)
         _check_integer("vocab_size", self.vocab_size, 1)
+        for name in ("min_angle_deg", "corruption", "confusion", "noise_correlation"):
+            _check_finite(name, getattr(self, name))
+        if not isinstance(self.shared_vocabulary, bool):
+            raise ValueError("shared_vocabulary must be true or false")
         if not 0 < self.min_angle_deg < 180:
             raise ValueError("min_angle_deg must be in (0, 180)")
         if not self.buckets:

@@ -361,13 +361,19 @@ def test_num_speakers_flag(synth_corpus):
         ("reassign", ["--attenuation", "step:2"], "bad attenuation 'step:2'"),
         ("report", ["--sweep", "step:2"], "bad sweep values in 'step:2'"),
         ("report", ["--sweep", "poly:-1"], "bad sweep values in 'poly:-1'"),
+        ("reassign", ["--seed", "-1"], "argument --seed: expected a non-negative"),
+        ("report", ["--seed", "-1"], "argument --seed: expected a non-negative"),
+        ("synth", ["--seed", "-1"], "argument --seed: expected a non-negative"),
     ],
 )
 def test_bad_flag_reported_before_reading_segments(
     tmp_path, capsys, command, flags, message
 ):
     missing = tmp_path / "missing.jsonl"
-    argv = [command, "--segments", str(missing), "--out", str(tmp_path / "x.jsonl")]
+    if command == "synth":
+        argv = [command, "--spec", str(missing), "--out-prefix", str(tmp_path / "x")]
+    else:
+        argv = [command, "--segments", str(missing), "--out", str(tmp_path / "x.jsonl")]
     if command == "report":
         argv += ["--reference", str(missing)]
     assert cli.main(argv + flags) == 1
@@ -613,12 +619,33 @@ def test_synth_refuses_to_write_over_its_spec(tmp_path, capsys):
         ("count", 2.5, "bucket count must be an integer >= 1"),
         ("embed_sigma", float("nan"), "embed_sigma must be a finite number"),
         ("embed_sigma", float("inf"), "embed_sigma must be a finite number"),
+        # a boolean used to read as 1 (every word corrupted, an angle of 1 deg)
+        ("corruption", True, "corruption must be a finite number"),
+        ("confusion", "0.4", "confusion must be a finite number"),
+        ("noise_correlation", float("nan"), "noise_correlation must be a finite number"),
+        ("min_angle_deg", True, "min_angle_deg must be a finite number"),
+        # a non-empty string used to read as true
+        ("shared_vocabulary", "no", "shared_vocabulary must be true or false"),
+        ("shared_vocabulary", 0, "shared_vocabulary must be true or false"),
     ],
-    ids=["huge-int-max_duration", "float-dim", "float-count", "nan-sigma", "inf-sigma"],
+    ids=[
+        "huge-int-max_duration",
+        "float-dim",
+        "float-count",
+        "nan-sigma",
+        "inf-sigma",
+        "bool-corruption",
+        "string-confusion",
+        "nan-noise_correlation",
+        "bool-min_angle_deg",
+        "string-shared_vocabulary",
+        "int-shared_vocabulary",
+    ],
 )
 def test_synth_rejects_a_bad_numeric_spec_field(tmp_path, capsys, field, value, message):
     raw = json.loads(json.dumps(SPEC))
-    (raw if field in raw else raw["buckets"][0])[field] = value
+    bucket = raw["buckets"][0]
+    (bucket if field in bucket else raw)[field] = value
     spec = tmp_path / "spec.json"
     spec.write_text(json.dumps(raw), encoding="utf-8")
     argv = ["synth", "--spec", str(spec), "--out-prefix", str(tmp_path / "d")]

@@ -1,4 +1,7 @@
-"""The benchmark's scripts use slrkit names that exist, with arguments they take."""
+"""The benchmark's scripts use slrkit names that exist, with arguments they take.
+
+The package's own public names resolve too.
+"""
 
 import ast
 import importlib
@@ -10,6 +13,7 @@ from pathlib import Path
 
 import pytest
 
+import slrkit
 from slrkit import cli
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -156,3 +160,12 @@ def test_perfbench_slrkit_calls_bind_to_signatures():
             checked.append(where)
     assert any("cluster_session" in where for where in checked)
     assert len(checked) >= 20, sorted(checked)
+
+
+def test_public_names_resolve():
+    names = slrkit.__all__
+    assert len(names) == len(set(names)), "slrkit.__all__ repeats a name"
+    for name in names:
+        assert hasattr(slrkit, name), f"slrkit.{name}"
+    # the only public way to split a pairing's errors into S/D/I
+    assert {"EditCounts", "edit_distance"} <= set(names)
