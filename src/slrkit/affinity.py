@@ -28,7 +28,7 @@ class AttenuationConfig:
     """Attenuation mode and its single hyperparameter.
 
     ``alpha`` applies in step-wise mode (0 <= alpha <= 1), ``beta`` in
-    polynomial mode (beta >= 0).  The step-wise breakpoints and the
+    polynomial mode (finite beta >= 0).  The step-wise breakpoints and the
     polynomial knee are fixed constants.
     """
 
@@ -43,8 +43,8 @@ class AttenuationConfig:
             )
         if not 0.0 <= self.alpha <= 1.0:
             raise ValueError(f"alpha must be in [0, 1], got {self.alpha}")
-        if not self.beta >= 0.0:
-            raise ValueError(f"beta must be >= 0, got {self.beta}")
+        if not 0.0 <= self.beta < np.inf:
+            raise ValueError(f"beta must be finite and >= 0, got {self.beta}")
 
 
 def cosine_affinity(embeddings) -> np.ndarray:
@@ -58,7 +58,9 @@ def cosine_affinity(embeddings) -> np.ndarray:
     if X.ndim != 2 or X.shape[0] < 1:
         raise ValueError("embeddings must be a non-empty (segments x dim) array")
     norms = np.linalg.norm(X, axis=1)
-    assert np.all(norms > 0), "zero-norm embedding reached affinity construction"
+    zero = np.flatnonzero(norms == 0)
+    if zero.size:
+        raise ValueError(f"embedding row {zero[0]} has zero norm")
     unit = X / norms[:, None]
     A = np.abs(unit @ unit.T)
     A = 0.5 * (A + A.T)

@@ -65,6 +65,13 @@ def parse_seed(text: str) -> int:
     return int(text)
 
 
+def parse_sessions(text: str) -> int:
+    """A ``--sessions`` count: a positive integer."""
+    if not text.isdecimal() or int(text) == 0:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="slrkit", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -101,7 +108,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--spec", required=True, help="SynthSpec as JSON")
     p.add_argument("--seed", type=parse_seed, default=0)
     p.add_argument("--out-prefix", required=True)
-    p.add_argument("--sessions", type=int, default=1)
+    p.add_argument("--sessions", type=parse_sessions, default=1)
 
     return parser
 
@@ -289,8 +296,6 @@ def _cmd_synth(args) -> int:
         spec = SynthSpec(**raw)
     except TypeError as exc:
         raise ValueError(f"bad synth spec: {exc}") from exc
-    if args.sessions < 1:
-        raise ValueError("--sessions must be >= 1")
 
     buffers = {kind: io.StringIO() for kind in outputs}
     for index in range(args.sessions):

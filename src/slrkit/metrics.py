@@ -424,6 +424,9 @@ def assignment_streams(
         streams[label].extend(seg.words)
     if label_names is None:
         label_names = [f"spk{c}" for c in range(num_clusters)]
+    for c, name in enumerate(label_names):
+        if name in label_names[:c]:
+            raise ValueError(f"label name {name!r} is repeated")
     return {label_names[c]: tuple(streams[c]) for c in range(num_clusters)}
 
 

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import bisect
 import dataclasses
-from typing import Iterator, NamedTuple, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -156,24 +156,6 @@ def _exact_search(
     return best_cost, best_labels
 
 
-class _Boundaries(NamedTuple):
-    """Kernel state of one cluster's stream against its own reference.
-
-    Boundary ``p`` falls before the cluster's ``p``-th segment.  ``heads[p]``
-    is the kernel column of the stream before it, ``suffixes[p, j]`` the
-    distance of ``ref[j:]`` to the stream after it (the backward run's
-    ``metrics._column_values`` row, reversed), and ``removals[p]`` the
-    distance of the whole stream without its ``p``-th segment.  Cluster
-    ``c`` is scored against reference ``c`` only, and the state lives only
-    while its cluster's costs are recomputed, so it is O(cluster segments x
-    reference length).
-    """
-
-    heads: list[_Column]
-    suffixes: np.ndarray
-    removals: np.ndarray
-
-
 def _diagonal_cost(
     segments: list[tuple[str, ...]], refs: list[tuple[str, ...]], labels: list[int]
 ) -> int:
@@ -211,10 +193,10 @@ def _descend(
     D(ref, X + Y) = min_j D(ref[:j], X) + D(ref[j:], Y) (Hirschberg 1975):
     removing a segment joins the prefix before it to the suffix after it,
     and inserting one advances a prefix column over the segment's words only.
-    A move rebuilds the boundary state of the two clusters it touched and
-    refreshes their two insertion columns, decoded in blocks of at most
-    ``DECODE_BLOCK`` values; no other cost depends on them, so no state is
-    kept between rounds.
+    A move recomputes the prefix columns and suffix rows of the two clusters
+    it touched and refreshes their two insertion columns, decoded in blocks
+    of at most ``DECODE_BLOCK`` values; no other cost depends on them, so no
+    state is kept between rounds.
     """
     k = len(refs)
     num_segments = len(segments)
@@ -225,7 +207,19 @@ def _descend(
     for i, label in enumerate(labels):
         members[label].append(i)
 
-    def boundaries(c: int) -> _Boundaries:
+    current = np.array(labels)
+    removal = np.zeros(num_segments, dtype=np.int64)
+    insert = np.zeros((num_segments, k), dtype=np.int64)
+    distance = np.zeros(k, dtype=np.int64)
+
+    def refresh(c: int) -> None:
+        """Recompute cluster ``c``'s distance, removal costs and insertion column.
+
+        ``heads[p]`` is the kernel column of the cluster's stream before its
+        ``p``-th segment, and ``suffixes[p, j]`` the distance of ``ref[j:]``
+        to the stream from that segment on: the backward run's decoded row,
+        reversed.  Both live only for this call.
+        """
         m = lengths[c]
         stream = [segments[i] for i in members[c]]
         head = _advance(masks[c], m, ())
@@ -237,28 +231,17 @@ def _descend(
             heads.append(head)
             tails.append(tail)
         tails.reverse()
-        prefix = _column_values(heads, m)
-        suffix = _column_values(tails, m)[:, ::-1]
-        return _Boundaries(heads, suffix, (prefix[:-1] + suffix[1:]).min(axis=1))
-
-    current = np.array(labels)
-    removal = np.zeros(num_segments, dtype=np.int64)
-    insert = np.zeros((num_segments, k), dtype=np.int64)
-    distance = np.zeros(k, dtype=np.int64)
-
-    def refresh(c: int) -> None:
-        """Recompute cluster ``c``'s distance, removal costs and insertion column."""
-        m = lengths[c]
-        state = boundaries(c)
-        removal[members[c]] = state.removals
-        distance[c] = state.heads[-1].score
+        prefixes = _column_values(heads, m)
+        suffixes = _column_values(tails, m)[:, ::-1]
+        removal[members[c]] = (prefixes[:-1] + suffixes[1:]).min(axis=1)
+        distance[c] = head.score
         for block in _blocks(np.flatnonzero(current != c), m + 1):
             at = [bisect.bisect(members[c], i) for i in block]
             ends = [
-                _advance(masks[c], m, segments[i], state.heads[p])
+                _advance(masks[c], m, segments[i], heads[p])
                 for i, p in zip(block, at)
             ]
-            values = _column_values(ends, m) + state.suffixes[at]
+            values = _column_values(ends, m) + suffixes[at]
             insert[block, c] = values.min(axis=1)
 
     for c in range(k):

@@ -212,6 +212,10 @@ class SynthSpec:
     vocab_size: int = 40
 
     def __post_init__(self):
+        if not isinstance(self.buckets, (list, tuple)) or not all(
+            isinstance(b, (dict, DurationBucket)) for b in self.buckets
+        ):
+            raise ValueError("buckets must be a list of objects")
         object.__setattr__(
             self, "buckets", tuple(DurationBucket(**b) if isinstance(b, dict) else b
                                    for b in self.buckets)

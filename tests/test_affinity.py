@@ -1,5 +1,7 @@
 """Cosine adjacency construction and attenuation formulas."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -23,6 +25,12 @@ def test_identical_embeddings_fully_similar():
     assert A[0, 1] == pytest.approx(1.0)
     assert A[1, 0] == pytest.approx(1.0)
     assert A[0, 0] == 0.0 and A[1, 1] == 0.0
+
+
+def test_zero_norm_embedding_rejected():
+    # an assert used to guard this; under python -O it gave a NaN matrix
+    with pytest.raises(ValueError, match="embedding row 1 has zero norm"):
+        cosine_affinity([[1.0, 0.0], [0.0, 0.0], [0.0, 0.0]])
 
 
 def test_orthogonal_embeddings_zero_similarity():
@@ -162,6 +170,8 @@ def test_config_validation():
         AttenuationConfig(mode="stepwise", alpha=1.5)
     with pytest.raises(ValueError):
         AttenuationConfig(mode="polynomial", beta=-1.0)
+    with pytest.raises(ValueError, match="beta must be finite and >= 0, got inf"):
+        AttenuationConfig(mode="polynomial", beta=math.inf)
     with pytest.raises(ValueError):
         AttenuationConfig(mode="gaussian")
 

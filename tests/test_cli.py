@@ -80,6 +80,34 @@ def test_cpwer_command(synth_corpus, capsys):
         assert set(line) == {"session_id", "cpwer", "errors", "ref_words", "mapping"}
 
 
+def _refuse_constant(name):
+    raise ValueError(f"{name} is not JSON (RFC 8259)")
+
+
+def test_every_output_line_is_strict_json(synth_corpus, capsys):
+    segments = str(synth_corpus / "demo.segments.jsonl")
+    reference = str(synth_corpus / "demo.reference.jsonl")
+    commands = [
+        ["reassign", "--segments", segments, "--attenuation", "poly:2",
+         "--reference", reference, "--report", str(synth_corpus / "r.jsonl"),
+         "--out", str(synth_corpus / "re.jsonl")],
+        ["cpwer", "--reference", reference, "--hyp", segments, "--per-session"],
+        ["oracle", "--segments", segments, "--reference", reference,
+         "--out", str(synth_corpus / "or.jsonl")],
+        ["report", "--segments", segments, "--reference", reference,
+         "--out", str(synth_corpus / "rep.jsonl")],
+    ]
+    lines = []
+    for argv in commands:
+        assert cli.main(argv) == 0
+        lines += capsys.readouterr().out.splitlines()
+    for path in sorted(synth_corpus.glob("*.jsonl")):
+        lines += path.read_text(encoding="utf-8").splitlines()
+    assert len(lines) > 50
+    for line in lines:
+        json.loads(line, parse_constant=_refuse_constant)
+
+
 def test_cpwer_command_rejects_reference_session_without_hypothesis(
     synth_corpus, capsys
 ):
@@ -364,6 +392,10 @@ def test_num_speakers_flag(synth_corpus):
         ("reassign", ["--seed", "-1"], "argument --seed: expected a non-negative"),
         ("report", ["--seed", "-1"], "argument --seed: expected a non-negative"),
         ("synth", ["--seed", "-1"], "argument --seed: expected a non-negative"),
+        ("synth", ["--sessions", "0"], "argument --sessions: expected a positive"),
+        # json.dumps would write "beta": Infinity, which is not JSON
+        ("reassign", ["--attenuation", "poly:inf"], "bad attenuation 'poly:inf'"),
+        ("report", ["--sweep", "poly:inf"], "bad sweep values in 'poly:inf'"),
     ],
 )
 def test_bad_flag_reported_before_reading_segments(
@@ -627,6 +659,11 @@ def test_synth_refuses_to_write_over_its_spec(tmp_path, capsys):
         # a non-empty string used to read as true
         ("shared_vocabulary", "no", "shared_vocabulary must be true or false"),
         ("shared_vocabulary", 0, "shared_vocabulary must be true or false"),
+        # a bucket that is not an object used to fail on its missing .count
+        ("buckets", [5], "buckets must be a list of objects"),
+        ("buckets", [None], "buckets must be a list of objects"),
+        ("buckets", ["x"], "buckets must be a list of objects"),
+        ("buckets", {"count": 4}, "buckets must be a list of objects"),
     ],
     ids=[
         "huge-int-max_duration",
@@ -640,6 +677,10 @@ def test_synth_refuses_to_write_over_its_spec(tmp_path, capsys):
         "bool-min_angle_deg",
         "string-shared_vocabulary",
         "int-shared_vocabulary",
+        "int-bucket",
+        "null-bucket",
+        "string-bucket",
+        "object-buckets",
     ],
 )
 def test_synth_rejects_a_bad_numeric_spec_field(tmp_path, capsys, field, value, message):

@@ -611,6 +611,19 @@ def test_cpwer_from_segments_confusion_counted_twice():
     assert sum(c.insertions for c in counts) == 2
 
 
+def test_repeated_label_name_rejected():
+    # a dict keyed by name used to keep only the last cluster's words
+    session = make_session(["a b", "c d"], ["x", "y"])
+    ref = ReferenceTranscript(
+        session_id="s", per_speaker={"A": toks("a b"), "B": toks("c d")}
+    )
+    assignment = LabelAssignment(session_id="s", labels=(0, 1))
+    with pytest.raises(ValueError, match="label name 'A' is repeated"):
+        assignment_streams(session, assignment, label_names=["A", "A"])
+    with pytest.raises(ValueError, match="label name 'A' is repeated"):
+        cpwer_from_segments(ref, session, assignment, label_names=["A", "A"])
+
+
 # "c d" is listed first but belongs second: by start, or on a tied start by id
 OUT_OF_ORDER = [([5.0, 1.0], ["seg0", "seg1"]), ([1.0, 1.0], ["zz", "aa"])]
 
